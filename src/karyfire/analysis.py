@@ -17,12 +17,13 @@ from .engine import (
     Configuration,
     EngineError,
     FiringMove,
+    destinations,
     fire,
     initial_config,
     is_stable,
     stabilize,
 )
-from .tree import TreeShape, VertexId, child_index, is_left_child, is_right_child, parent
+from .tree import TreeShape, VertexId, child_index, embed_vertex, is_left_child, is_right_child, parent
 
 
 class ConstructionError(EngineError):
@@ -253,17 +254,6 @@ def max_inversions(result, rule: str = "inorder") -> tuple[int, Configuration]:
 # lower-bound construction replay
 
 
-def _embed_vertex(shape: TreeShape, base: VertexId, rel: VertexId) -> VertexId:
-    path = []
-    while rel:
-        path.append((rel - 1) % shape.k + 1)
-        rel = (rel - 1) // shape.k
-    v = base
-    for slot in reversed(path):
-        v = shape.k * v + slot
-    return v
-
-
 def _validated_choices(name: str, choices, count: int, lo: int, hi: int) -> tuple[int, ...]:
     seq = tuple(choices)
     if len(seq) != count:
@@ -334,25 +324,20 @@ def replay_lower_bound_construction(
         raise ConstructionError("symmetry violated: subtree firing sequences diverge")
 
     for step in range(len(rank_traces[0])):
-        owed: dict[int, int] = {}
+        owed: dict[int, VertexId] = {}  # chip sent up -> the child it came from
         fired_roots = False
-        for slot, child in enumerate(children, start=1):
-            mv = iso_traces[slot - 1][step]
-            config = fire(config, FiringMove(_embed_vertex(shape, child, mv.vertex), mv.selected))
+        for child, trace in zip(children, iso_traces):
+            mv = trace[step]
+            config = fire(config, FiringMove(embed_vertex(shape, child, mv.vertex), mv.selected))
             if mv.vertex == 0:
-                owed[mv.selected[k // 2]] = slot
+                owed[mv.selected[k // 2]] = child
                 fired_roots = True
         if fired_roots:
             pile = config.at(0)
             if len(pile) != k + 1 or pile[k // 2] != m:
                 raise ConstructionError("symmetry violated: stationary chip displaced at the root")
-            slot = 1
-            for idx, chip in enumerate(pile):
-                if idx == k // 2:
-                    continue
-                if owed.get(chip) != slot:
-                    raise ConstructionError("symmetry violated: a returned chip would change subtrees")
-                slot += 1
+            if any(d != 0 and owed.get(chip) != d for chip, d in zip(pile, destinations(k, 0))):
+                raise ConstructionError("symmetry violated: a returned chip would change subtrees")
             config = fire(config, FiringMove(0, pile))
 
     if not is_stable(config) or config.at(0) != (m,):

@@ -17,9 +17,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial, isqrt
 
+from .tree import TreeShape, layer_start
+
 
 class FormulaError(ArithmeticError):
-    """An exact-division check failed, signalling a transcription bug."""
+    """An exactness check failed, signalling a transcription bug."""
 
 
 _fact = lru_cache(maxsize=None)(factorial)
@@ -27,11 +29,9 @@ _fact = lru_cache(maxsize=None)(factorial)
 
 def n_chips(k: int, ell: int) -> int:
     """Chips needed to fill layers 1..ell with one chip per vertex: (k^ell-1)/(k-1)."""
-    if k < 2:
-        raise ValueError(f"arity must be >= 2, got {k}")
     if ell < 0:
         raise ValueError(f"layer count must be >= 0, got {ell}")
-    return (k**ell - 1) // (k - 1)
+    return layer_start(TreeShape(k), ell + 1)
 
 
 def euler_zigzag(ell: int) -> int:
@@ -45,21 +45,6 @@ def euler_zigzag(ell: int) -> int:
         for i in range(n):
             row.append(row[-1] + prev[n - 1 - i])
     return row[-1]
-
-
-def multinomial(n: int, parts: list[int]) -> int:
-    """n! divided by the factorials of the parts, with the division checked exact."""
-    if any(p < 0 for p in parts):
-        raise ValueError(f"parts must be nonnegative, got {parts}")
-    if sum(parts) != n:
-        raise ValueError(f"parts {parts} sum to {sum(parts)}, expected {n}")
-    denom = 1
-    for p in parts:
-        denom *= _fact(p)
-    quotient, remainder = divmod(_fact(n), denom)
-    if remainder:
-        raise FormulaError(f"non-integral division in multinomial({n}, {parts})")
-    return quotient
 
 
 def _choose(n: int, i: int) -> int:
@@ -92,17 +77,23 @@ def _factorial_exponent(n: int, p: int) -> int:
     return e
 
 
-def _multinomial_by_primes(n: int, parts: list[int]) -> int:
-    """Same value as multinomial(n, parts), assembled from prime exponents.
+def multinomial(n: int, parts: list[int]) -> int:
+    """n! divided by the factorials of the parts, assembled from prime exponents.
 
-    CPython's big-integer division is quadratic, so the checked factorial
+    CPython's big-integer division is quadratic, so the plain factorial
     quotient stalls once n reaches the tens of thousands.  Collecting the
     surviving prime powers and multiplying them in a balanced tree keeps the
     layer factors fast without giving up exact arithmetic.
     """
+    if any(p < 0 for p in parts):
+        raise ValueError(f"parts must be nonnegative, got {parts}")
+    if sum(parts) != n:
+        raise ValueError(f"parts {parts} sum to {sum(parts)}, expected {n}")
     powers = []
     for p in _primes_upto(n):
         e = _factorial_exponent(n, p) - sum(_factorial_exponent(q, p) for q in parts)
+        if e < 0:
+            raise FormulaError(f"negative exponent of {p} in multinomial({n}, {parts})")
         if e:
             powers.append(p**e)
     while len(powers) > 1:
@@ -231,7 +222,7 @@ def zigzag_layer_factor(k: int, ell: int) -> int:
     n = n_chips(k, ell)
     parts = _layer_parts(k, ell)
     assert sum(parts) == n - ell - 2, "subtree sizes must account for all remaining chips"
-    return comb(n - 2, ell) * _multinomial_by_primes(n - ell - 2, parts) * euler_zigzag(ell)
+    return comb(n - 2, ell) * multinomial(n - ell - 2, parts) * euler_zigzag(ell)
 
 
 def zigzag_bound(k: int, ell: int) -> BoundReport:

@@ -42,6 +42,7 @@ from .engine import (
 )
 from .enumeration import (
     EnumerationTruncated,
+    check_state_size,
     dump_stable,
     enumerate_stable,
     verify_endgame_confluence,
@@ -103,11 +104,11 @@ def cmd_simulate(args) -> int:
 
 def cmd_enumerate(args) -> int:
     shape = TreeShape(args.k)
+    check_state_size(shape, args.ell)
     result = enumerate_stable(
         initial_config(shape, args.ell),
         max_states=args.max_states,
         max_stable=args.max_stable,
-        threads=args.threads,
         endgame_shortcut=not args.no_endgame_shortcut,
     )
     if args.dump is not None:
@@ -123,7 +124,6 @@ def cmd_enumerate(args) -> int:
                 "states_explored": result.states_explored,
                 "memo_hits": result.memo_hits,
                 "truncated": result.truncated,
-                "threads": args.threads,
             }
         )
     elif result.truncated:
@@ -213,6 +213,7 @@ def cmd_verify(args) -> int:
                 final, _ = stabilize(initial_config(shape, args.ell), "random", seed=args.seed + idx)
                 configs.append(final)
         else:
+            check_state_size(shape, args.ell)
             result = enumerate_stable(initial_config(shape, args.ell))
             if result.truncated:
                 raise EnumerationTruncated("enumeration truncated — cannot verify the full stable set")
@@ -225,6 +226,7 @@ def cmd_verify(args) -> int:
     elif prop == "endgame-confluence":
         samples = args.samples if args.samples is not None else 20
         used_seed = args.seed
+        check_state_size(shape, args.ell)
         for idx in range(samples):
             config = random_endgame_start(shape, args.ell, args.seed + idx)
             checks += 1
@@ -365,7 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="count all reachable stable configurations")
     common(p)
     p.add_argument("--dump", help="write the stable set as newline-delimited JSON")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--max-states", type=int, default=10**8)
     p.add_argument("--max-stable", type=int, default=10**7)
     p.add_argument("--no-endgame-shortcut", action="store_true")

@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import json
 import random as _random
+from bisect import insort
 from collections import deque
+from collections.abc import Sized
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -146,6 +148,17 @@ class Configuration:
 # firing kernel
 
 
+def destinations(k: int, v: VertexId) -> tuple[VertexId, ...]:
+    """Where a fire at v sends its k+1 selected chips, in ascending chip order.
+
+    The children take the chips left to right, except that the median (index
+    k//2) goes to the parent; the root's parent is the root itself.
+    """
+    first = k * v + 1
+    mid = first + k // 2
+    return (*range(first, mid), (v - 1) // k if v else 0, *range(mid, first + k))
+
+
 def _apply(k: int, piles: dict[VertexId, list[int]], vertex: VertexId, selected: tuple[int, ...]) -> None:
     """Fire `selected` (sorted, size k+1) at `vertex`, mutating `piles`."""
     pile = piles.get(vertex, [])
@@ -158,30 +171,8 @@ def _apply(k: int, piles: dict[VertexId, list[int]], vertex: VertexId, selected:
         piles[vertex] = remaining
     else:
         del piles[vertex]
-    median = selected[k // 2]
-    dest_parent = 0 if vertex == 0 else (vertex - 1) // k
-    _insert(piles, dest_parent, median)
-    slot = 1
-    for idx, chip in enumerate(selected):
-        if idx == k // 2:
-            continue
-        _insert(piles, k * vertex + slot, chip)
-        slot += 1
-
-
-def _insert(piles: dict[VertexId, list[int]], vertex: VertexId, chip: int) -> None:
-    pile = piles.get(vertex)
-    if pile is None:
-        piles[vertex] = [chip]
-    else:
-        lo, hi = 0, len(pile)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if pile[mid] < chip:
-                lo = mid + 1
-            else:
-                hi = mid
-        pile.insert(lo, chip)
+    for chip, dest in zip(selected, destinations(k, vertex)):
+        insort(piles.setdefault(dest, []), chip)
 
 
 def _piles_of(config: Configuration) -> dict[VertexId, list[int]]:
@@ -301,10 +292,10 @@ def stabilize(
 # ---------------------------------------------------------------------------
 # unlabeled (counting-only) dynamics
 
+_RELAX_ROUND_LIMIT = 10**7  # batched per-vertex rounds before relaxation gives up
 
-def _unlabeled_relax(
-    k: int, counts: dict[VertexId, int], batch_limit: int = 10**7
-) -> tuple[dict[VertexId, int], dict[VertexId, int]]:
+
+def _unlabeled_relax(k: int, counts: dict[VertexId, int]) -> tuple[dict[VertexId, int], dict[VertexId, int]]:
     """Stabilize integer chip counts; returns (final counts, fires per vertex).
 
     Counts follow the same flow as labeled firing: a fire sends one chip to
@@ -318,7 +309,7 @@ def _unlabeled_relax(
     rounds = 0
     while work:
         rounds += 1
-        if rounds > batch_limit:
+        if rounds > _RELAX_ROUND_LIMIT:
             raise StepLimitError("step limit exceeded in unlabeled relaxation")
         v = work.popleft()
         queued.discard(v)
@@ -379,56 +370,64 @@ def unlabeled_profile(shape: TreeShape, n_chips: int) -> list[int]:
 # endgame
 
 
-def endgame_start(shape: TreeShape, ell: int, config: Configuration) -> Configuration:
-    """Validate the shape that opens the endgame.
+def endgame_offenders(shape: TreeShape, ell: int, piles: dict[VertexId, Sized]) -> list[VertexId]:
+    """Vertices whose piles break the endgame-start shape for ell layers, ascending.
 
     The root must hold exactly k+1 chips, every vertex on layers 2..ell-1
-    exactly k, and nothing may sit on layer ell or below.  Labels are not
-    constrained.  Returns the configuration unchanged when valid.
+    exactly k, and nothing may sit on layer ell or below.
+    """
+    bad = [] if len(piles.get(0, ())) == shape.k + 1 else [0]
+    boundary = layer_start(shape, ell)
+    bad.extend(v for v in range(1, boundary) if len(piles.get(v, ())) != shape.k)
+    bad.extend(v for v in piles if v >= boundary)
+    return sorted(set(bad))
+
+
+def endgame_start(shape: TreeShape, ell: int, config: Configuration) -> Configuration:
+    """Validate the shape that opens the endgame (see `endgame_offenders`).
+
+    Labels are not constrained.  Returns the configuration unchanged when valid.
     """
     if ell < 2:
         raise ValueError(f"ell must be >= 2, got {ell}")
     if config.k != shape.k:
         raise ValueError(f"configuration arity {config.k} does not match shape {shape.k}")
-    d = config.as_dict()
-    bad = []
-    if len(d.get(0, ())) != shape.k + 1:
-        bad.append(0)
-    boundary = layer_start(shape, ell)
-    for v in range(1, boundary):
-        if len(d.get(v, ())) != shape.k:
-            bad.append(v)
-    bad.extend(v for v in d if v >= boundary)
+    bad = endgame_offenders(shape, ell, config.as_dict())
     if bad:
-        raise EndgameShapeError(
-            f"not an endgame-start shape for ell={ell} (offending vertices {sorted(set(bad))})"
-        )
+        raise EndgameShapeError(f"not an endgame-start shape for ell={ell} (offending vertices {bad})")
     return config
 
 
-def run_waves(config: Configuration) -> Configuration:
-    """Fire a valid endgame start to its stable configuration in waves.
+def fire_waves(shape: TreeShape, ell: int, piles: dict[VertexId, list[int]]) -> list[tuple[VertexId, tuple[int, ...]]]:
+    """Fire an endgame start for ell layers in waves, mutating `piles`; returns the moves.
 
     Wave w fires vertices 0..N-1 once each in index order, where N counts
     the vertices of the top (ell - w) layers.  Every scheduled vertex must
-    hold exactly k+1 chips when its turn comes.
+    hold exactly k+1 chips when its turn comes.  Piles are sorted lists of
+    chip labels or of chip ranks: the two orders agree.
     """
-    k = config.k
-    shape = config.shape
-    if not config.chips:
-        raise EndgameShapeError("empty configuration")
-    deepest = max(layer(shape, v) for v, _ in config.chips)
-    ell = deepest + 1
-    endgame_start(shape, ell, config)
-    piles = _piles_of(config)
+    k = shape.k
+    moves = []
     for wave in range(1, ell):
-        limit = layer_start(shape, ell - wave + 1)
-        for v in range(limit):
-            pile = piles.get(v, [])
+        for v in range(layer_start(shape, ell - wave + 1)):
+            pile = tuple(piles.get(v, ()))
             if len(pile) != k + 1:
                 raise WaveError(f"vertex {v} not ready in wave {wave} (holds {len(pile)} chips)")
-            _apply(k, piles, v, tuple(pile))
-    out = _build(k, piles)
+            _apply(k, piles, v, pile)
+            moves.append((v, pile))
+    return moves
+
+
+def run_waves(config: Configuration) -> Configuration:
+    """Fire a valid endgame start to its stable configuration in waves."""
+    if not config.chips:
+        raise EndgameShapeError("empty configuration")
+    shape = config.shape
+    ell = layer(shape, max(config.occupied())) + 1
+    endgame_start(shape, ell, config)
+    piles = _piles_of(config)
+    fire_waves(shape, ell, piles)
+    out = _build(config.k, piles)
     assert is_stable(out)
     return out
 

@@ -12,17 +12,25 @@ chip.
 from __future__ import annotations
 
 import json
-import threading
 from array import array
-from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 from typing import IO, Iterator
 
-from .engine import Configuration, FiringMove, endgame_start, initial_config, run_waves
-from .tree import TreeShape, VertexId, child_index, layer, layer_start, parent
+from .engine import (
+    Configuration,
+    FiringMove,
+    _unlabeled_relax,
+    destinations,
+    endgame_offenders,
+    endgame_start,
+    fire_waves,
+    initial_config,
+    run_waves,
+)
+from .tree import TreeShape, VertexId, layer, layer_start, relative_index
 
 DEFAULT_MAX_STATES = 10**8
 DEFAULT_MAX_STABLE = 10**7
@@ -44,101 +52,63 @@ def canonical_key(config: Configuration) -> bytes:
 
 
 def _encode(config: Configuration, labels: tuple[int, ...]) -> bytes:
+    last = max(config.occupied(), default=0)
+    if last > _VERTEX_LIMIT:
+        raise ValueError(f"vertex {last} exceeds the 16-bit state encoding")
     rank_of = {c: r for r, c in enumerate(labels)}
-    arr = array("H", bytes(2 * len(labels)))
-    for v, pile in config.chips:
-        if v > _VERTEX_LIMIT:
-            raise ValueError(f"vertex {v} exceeds the 16-bit state encoding")
-        for c in pile:
-            arr[rank_of[c]] = v
-    return arr.tobytes()
+    return _pack({v: [rank_of[c] for c in pile] for v, pile in config.chips}, len(labels))
 
 
 def _decode(state: bytes, k: int, labels: tuple[int, ...]) -> Configuration:
-    piles: dict[VertexId, list[int]] = {}
-    arr = array("H")
-    arr.frombytes(state)
-    for r, v in enumerate(arr):
-        piles.setdefault(v, []).append(labels[r])
-    return Configuration(k, tuple((v, tuple(piles[v])) for v in sorted(piles)))
+    piles = _rank_piles(state)
+    return Configuration(k, tuple((v, tuple(labels[r] for r in piles[v])) for v in sorted(piles)))
 
 
 def _rank_piles(state: bytes) -> dict[VertexId, list[int]]:
+    """Vertex -> ascending ranks of the chips it holds."""
     piles: dict[VertexId, list[int]] = {}
-    arr = array("H")
-    arr.frombytes(state)
-    for r, v in enumerate(arr):
+    for r, v in enumerate(array("H", state)):
         piles.setdefault(v, []).append(r)
     return piles
 
 
-def _successors(state: bytes, k: int) -> list[tuple[VertexId, tuple[int, ...], bytes]]:
+def _pack(piles: dict[VertexId, list[int]], n: int) -> bytes:
+    """Inverse of `_rank_piles` for a state of n chips."""
+    arr = array("H", bytes(2 * n))
+    for v, pile in piles.items():
+        for r in pile:
+            arr[r] = v
+    return arr.tobytes()
+
+
+def _check_reach(config: Configuration) -> None:
+    """Refuse a start whose firing can send chips beyond the 16-bit encoding.
+
+    By least action no firing sequence fires a vertex that the unlabeled
+    stabilization leaves unfired, so no fired chip lands beyond the last
+    child of the largest vertex that fires there.
+    """
+    k = config.k
+    _, fires = _unlabeled_relax(k, {v: len(pile) for v, pile in config.chips})
+    reach = max((k * v + k for v in fires), default=0)
+    if reach > _VERTEX_LIMIT:
+        raise ValueError(f"vertex {reach} exceeds the 16-bit state encoding")
+
+
+def _successors(
+    k: int, state: bytes, piles: dict[VertexId, list[int]]
+) -> Iterator[tuple[VertexId, tuple[int, ...], bytes]]:
     """All (vertex, selected ranks, next state) one fire away from `state`."""
-    piles = _rank_piles(state)
-    base = array("H")
-    base.frombytes(state)
-    out = []
+    base = array("H", state)
     for v, pile in piles.items():
         if len(pile) <= k:
             continue
-        if k * v + k > _VERTEX_LIMIT:
-            raise ValueError(f"firing vertex {v} exceeds the 16-bit state encoding")
-        dest_parent = 0 if v == 0 else (v - 1) // k
+        dests = destinations(k, v)
         for sel in combinations(pile, k + 1):
             nxt = array("H", base)
-            nxt[sel[k // 2]] = dest_parent
-            slot = 1
-            for idx, r in enumerate(sel):
-                if idx == k // 2:
-                    continue
-                nxt[r] = k * v + slot
-                slot += 1
-            out.append((v, sel, nxt.tobytes()))
-    return out
-
-
-def _is_stable_state(state: bytes, k: int) -> bool:
-    return all(len(pile) <= k for pile in _rank_piles(state).values())
-
-
-def _endgame_depth(piles: dict[VertexId, list[int]], k: int) -> int | None:
-    """The number of layers the endgame will fill, or None if not endgame-shaped."""
-    if len(piles.get(0, ())) != k + 1:
-        return None
-    shape = TreeShape(k)
-    ell = max(layer(shape, v) for v in piles) + 1
-    boundary = layer_start(shape, ell)
-    for v in range(1, boundary):
-        if len(piles.get(v, ())) != k:
-            return None
-    if any(v >= boundary for v in piles):
-        return None
-    return ell
-
-
-def _wave_collapse(state: bytes, k: int, ell: int) -> tuple[bytes, tuple[tuple[VertexId, tuple[int, ...]], ...]]:
-    """Fire the full wave schedule in rank space, returning (final state, moves)."""
-    shape = TreeShape(k)
-    arr = array("H")
-    arr.frombytes(state)
-    piles = _rank_piles(state)
-    moves = []
-    for wave in range(1, ell):
-        limit = layer_start(shape, ell - wave + 1)
-        for v in range(limit):
-            sel = tuple(piles[v])
-            moves.append((v, sel))
-            del piles[v]
-            arr[sel[k // 2]] = 0 if v == 0 else (v - 1) // k
-            insort(piles.setdefault(0 if v == 0 else (v - 1) // k, []), sel[k // 2])
-            slot = 1
-            for idx, r in enumerate(sel):
-                if idx == k // 2:
-                    continue
-                arr[r] = k * v + slot
-                insort(piles.setdefault(k * v + slot, []), r)
-                slot += 1
-    return arr.tobytes(), tuple(moves)
+            for r, d in zip(sel, dests):
+                nxt[r] = d
+            yield v, sel, nxt.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +165,6 @@ def enumerate_stable(
     *,
     max_states: int = DEFAULT_MAX_STATES,
     max_stable: int = DEFAULT_MAX_STABLE,
-    threads: int = 1,
     endgame_shortcut: bool = True,
     record_witnesses: bool = False,
 ) -> EnumerationResult:
@@ -203,99 +172,77 @@ def enumerate_stable(
 
     Returns the full set of reachable stable configurations unless a limit
     was hit, in which case the result is flagged as truncated.  The stable
-    set is independent of `threads` and of `endgame_shortcut`; the
-    shortcut collapses endgame-shaped states straight to their unique
-    stable outcome instead of expanding every interleaving.
+    set is independent of `endgame_shortcut`; the shortcut collapses
+    endgame-shaped states straight to their unique stable outcome instead
+    of expanding every interleaving.
     """
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
     k = config.k
+    shape = config.shape
     labels = config.labels()
     start = _encode(config, labels)
+    _check_reach(config)
 
     visited = {start}
     stable_keys: set[bytes] = set()
     witnesses: dict | None = {} if record_witnesses else None
     work: deque[bytes] = deque([start])
-    cond = threading.Condition()
-    counters = {"busy": 0, "explored": 0, "hits": 0, "stop": False, "truncated": False}
-
-    def expand(state: bytes):
+    explored = hits = 0
+    truncated = False
+    while work:
+        state = work.popleft()
+        explored += 1
         piles = _rank_piles(state)
         if all(len(p) <= k for p in piles.values()):
-            return [], True
-        if endgame_shortcut:
-            ell = _endgame_depth(piles, k)
-            if ell is not None:
-                final, moves = _wave_collapse(state, k, ell)
-                return [(final, moves, True)], False
-        out = []
-        for v, sel, nxt in _successors(state, k):
-            out.append((nxt, ((v, sel),), None))
-        return out, False
-
-    def worker() -> None:
-        while True:
-            with cond:
-                while not work and counters["busy"] and not counters["stop"]:
-                    cond.wait()
-                if counters["stop"] or (not work and not counters["busy"]):
-                    cond.notify_all()
-                    return
-                state = work.popleft()
-                counters["busy"] += 1
-            successors, state_is_stable = expand(state)
-            checked = [
-                (nxt, moves, _is_stable_state(nxt, k) if known is None else known)
-                for nxt, moves, known in successors
-            ]
-            with cond:
-                counters["explored"] += 1
-                if state_is_stable:
-                    stable_keys.add(state)
-                for nxt, moves, nxt_stable in checked:
-                    if nxt in visited:
-                        counters["hits"] += 1
-                        continue
-                    visited.add(nxt)
-                    if witnesses is not None:
-                        witnesses[nxt] = (state, moves)
-                    if nxt_stable:
-                        stable_keys.add(nxt)
-                        counters["explored"] += 1
-                    else:
-                        work.append(nxt)
-                if len(visited) > max_states or len(stable_keys) > max_stable:
-                    counters["truncated"] = True
-                    counters["stop"] = True
-                counters["busy"] -= 1
-                cond.notify_all()
-
-    if threads == 1:
-        worker()
-    else:
-        pool = [threading.Thread(target=worker) for _ in range(threads)]
-        for t in pool:
-            t.start()
-        for t in pool:
-            t.join()
+            stable_keys.add(state)
+            successors = ()
+        elif (
+            endgame_shortcut
+            and len(piles.get(0, ())) == k + 1
+            and not endgame_offenders(shape, ell := layer(shape, max(piles)) + 1, piles)
+        ):
+            moves = fire_waves(shape, ell, piles)
+            successors = ((_pack(piles, len(labels)), tuple(moves)),)
+        else:
+            successors = ((nxt, ((v, sel),)) for v, sel, nxt in _successors(k, state, piles))
+        for nxt, moves in successors:
+            if nxt in visited:
+                hits += 1
+                continue
+            visited.add(nxt)
+            if witnesses is not None:
+                witnesses[nxt] = (state, moves)
+            work.append(nxt)
+        if len(visited) > max_states or len(stable_keys) > max_stable:
+            truncated = True
+            break
 
     return EnumerationResult(
         k=k,
         labels=labels,
         start_key=start,
         stable_keys=frozenset(stable_keys),
-        states_explored=counters["explored"],
-        memo_hits=counters["hits"],
-        truncated=counters["truncated"],
+        states_explored=explored,
+        memo_hits=hits,
+        truncated=truncated,
         max_states=max_states,
         max_stable=max_stable,
         witnesses=witnesses,
     )
 
 
+def check_state_size(shape: TreeShape, ell: int) -> None:
+    """Refuse (k, ell) whose vertices 0..N-1 overflow the 16-bit state encoding.
+
+    Cheap: it runs before the N chip labels of the start are built.
+    """
+    last = layer_start(shape, ell + 1) - 1
+    if last > _VERTEX_LIMIT:
+        raise ValueError(f"(k, ell) = ({shape.k}, {ell}) needs vertex {last}, beyond the 16-bit state encoding")
+
+
 def count_stable(shape: TreeShape, ell: int, **kwargs) -> int:
     """Exact count of stable configurations reachable from the root-loaded start."""
+    check_state_size(shape, ell)
     result = enumerate_stable(initial_config(shape, ell), **kwargs)
     if result.truncated:
         raise EnumerationTruncated("enumeration truncated — no exact count")
@@ -320,21 +267,6 @@ def verify_endgame_confluence(config: Configuration, **kwargs) -> bool:
     return only == run_waves(config)
 
 
-def _relative_index(shape: TreeShape, subtree_root: VertexId, v: VertexId) -> VertexId | None:
-    """Index of v within the subtree rooted at subtree_root, or None if outside."""
-    path = []
-    u = v
-    while u > subtree_root:
-        path.append(child_index(shape, u))
-        u = parent(shape, u)
-    if u != subtree_root:
-        return None
-    rel = 0
-    for slot in reversed(path):
-        rel = shape.k * rel + slot
-    return rel
-
-
 def subtree_orderings(
     result: EnumerationResult, subtree_root: VertexId
 ) -> set[tuple[tuple[VertexId, tuple[int, ...]], ...]]:
@@ -350,7 +282,7 @@ def subtree_orderings(
     for config in result.stable_set:
         placed = []
         for v, pile in config.chips:
-            rel = _relative_index(shape, subtree_root, v)
+            rel = relative_index(shape, subtree_root, v)
             if rel is not None:
                 placed.append((rel, pile))
         ranks = {c: i + 1 for i, c in enumerate(sorted(c for _, pile in placed for c in pile))}

@@ -121,3 +121,24 @@ def zigzag_path(shape: TreeShape, start: VertexId, length: int, mirrored: bool =
         go_right = mirrored if v == 0 else is_left_child(shape, v)
         path.append(shape.k * v + (shape.k if go_right else 1))
     return path
+
+
+def relative_index(shape: TreeShape, top: VertexId, v: VertexId) -> VertexId | None:
+    """Index of v in the subtree rooted at `top`, numbered as if `top` were the
+    root, or None when v lies outside that subtree.
+
+    The depth-d descendants of `top` are the contiguous indices
+    top * k^d + layer_start(d + 1) .. top * k^d + layer_start(d + 2) - 1.
+    """
+    depth = layer(shape, v) - layer(shape, top)
+    if depth < 0:
+        return None
+    rel = v - top * shape.k**depth
+    if not layer_start(shape, depth + 1) <= rel < layer_start(shape, depth + 2):
+        return None
+    return rel
+
+
+def embed_vertex(shape: TreeShape, top: VertexId, rel: VertexId) -> VertexId:
+    """Inverse of `relative_index`: the vertex at subtree index `rel` under `top`."""
+    return top * shape.k ** (layer(shape, rel) - 1) + rel

@@ -50,11 +50,7 @@ S4 = TreeShape(4)
 
 def test_criterion_01_ground_truth_count():
     started = time.time()
-    runs = [
-        enumerate_stable(initial_config(S2, 3), threads=threads, endgame_shortcut=shortcut)
-        for threads in (1, 4)
-        for shortcut in (True, False)
-    ]
+    runs = [enumerate_stable(initial_config(S2, 3), endgame_shortcut=shortcut) for shortcut in (True, False)]
     elapsed = time.time() - started
     assert elapsed < 10.0
     assert all(len(r.stable_keys) == 6 for r in runs)
@@ -225,8 +221,7 @@ def test_criterion_11_asymptotic_check():
     reason="exhaustive four-layer enumeration; set KARYFIRE_EXTENDED=1 to run",
 )
 def test_criterion_12_extended_four_layer_enumeration():
-    threads = int(os.environ.get("KARYFIRE_THREADS", "4"))
-    result = enumerate_stable(initial_config(S2, 4), threads=threads)
+    result = enumerate_stable(initial_config(S2, 4))
     if result.truncated:
         pytest.fail(
             f"enumeration truncated after {result.states_explored} states "

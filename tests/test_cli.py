@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -89,12 +90,11 @@ def test_enumerate_text():
 
 
 def test_enumerate_json():
-    code, out, _ = run_cli(["enumerate", "--k", "2", "--ell", "3", "--json", "--threads", "2"])
+    code, out, _ = run_cli(["enumerate", "--k", "2", "--ell", "3", "--json"])
     assert code == 0
     payload = json.loads(out)
     assert payload["count"] == 6
     assert payload["truncated"] is False
-    assert payload["threads"] == 2
 
 
 def test_enumerate_truncation_exit_code():
@@ -102,6 +102,23 @@ def test_enumerate_truncation_exit_code():
     assert code == 3
     assert out == ""
     assert "truncated after" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--k", "2", "--ell", "40"],
+        ["verify", "--k", "2", "--ell", "40", "--property", "ballot"],
+        ["verify", "--k", "2", "--ell", "40", "--property", "endgame-confluence"],
+    ],
+)
+def test_oversized_search_is_refused_before_the_start_is_built(argv):
+    started = time.perf_counter()
+    code, out, err = run_cli(argv)
+    assert time.perf_counter() - started < 1.0
+    assert code == 2
+    assert out == ""
+    assert "16-bit" in err
 
 
 def test_enumerate_dump(tmp_path):

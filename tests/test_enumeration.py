@@ -2,9 +2,11 @@
 
 import io
 import json
+import random
 
 import pytest
 
+from karyfire import enumeration
 from karyfire.engine import Configuration, fire, initial_config, legal_moves, random_endgame_start
 from karyfire.enumeration import (
     EnumerationTruncated,
@@ -15,7 +17,7 @@ from karyfire.enumeration import (
     subtree_orderings,
     verify_endgame_confluence,
 )
-from karyfire.tree import TreeShape
+from karyfire.tree import TreeShape, layer, layer_size, layer_start
 
 S2 = TreeShape(2)
 S3 = TreeShape(3)
@@ -62,13 +64,51 @@ def test_matches_brute_force_search():
     assert result.stable_set == brute_force_stable(initial_config(S2, 3))
 
 
-@pytest.mark.parametrize("threads", [1, 2, 4])
 @pytest.mark.parametrize("shortcut", [True, False])
-def test_search_knobs_do_not_change_the_answer(threads, shortcut):
-    result = enumerate_stable(initial_config(S2, 3), threads=threads, endgame_shortcut=shortcut)
+def test_search_knobs_do_not_change_the_answer(shortcut):
+    result = enumerate_stable(initial_config(S2, 3), endgame_shortcut=shortcut)
     assert sorted(canonical_key(c) for c in result.stable_set) == sorted(
         canonical_key(Configuration.from_dict(2, d)) for d in BINARY_STABLE
     )
+
+
+def _random_start(rng):
+    """A small k = 2 or k = 3 start with at least one vertex that can fire."""
+    k = rng.choice((2, 3))
+    n = rng.randint(k + 1, 2 * k + 3)
+    labels = rng.sample(range(1, 2 * n + 1), n)
+    spots = range(k + 1)  # the root and its children
+    chips = {rng.choice(spots): labels[: k + 1]}
+    for c in labels[k + 1 :]:
+        chips.setdefault(rng.choice(spots), []).append(c)
+    return Configuration.from_dict(k, chips)
+
+
+def test_random_starts_match_brute_force_search():
+    rng = random.Random(20261018)
+    starts = [_random_start(rng) for _ in range(40)]
+    starts += [random_endgame_start(S2, 3, seed) for seed in range(5)]
+    for start in starts:
+        expected = brute_force_stable(start)
+        for shortcut in (True, False):
+            assert enumerate_stable(start, endgame_shortcut=shortcut).stable_set == expected, start
+
+
+def test_binary_stable_set_is_closed_under_mirror_complement():
+    """For even k, reflecting the tree and replacing chip c by N+1-c maps
+    the stable set onto itself."""
+    result = enumerate_stable(initial_config(S2, 3))
+    n = 7
+
+    def mirror(v):
+        first = layer_start(S2, layer(S2, v))
+        return first + layer_size(S2, layer(S2, v)) - 1 - (v - first)
+
+    image = {
+        Configuration.from_dict(2, {mirror(v): [n + 1 - c for c in pile] for v, pile in config.chips})
+        for config in result.stable_set
+    }
+    assert image == result.stable_set
 
 
 def test_memoization_is_hit():
@@ -108,11 +148,6 @@ def test_truncated_results_refuse_projection():
     result = enumerate_stable(initial_config(S2, 3), max_states=5)
     with pytest.raises(ValueError):
         subtree_orderings(result, 0)
-
-
-def test_thread_count_validation():
-    with pytest.raises(ValueError):
-        enumerate_stable(initial_config(S2, 3), threads=0)
 
 
 def test_witnesses_replay_through_the_kernel():
@@ -155,10 +190,14 @@ def test_canonical_key_orders_like_iter_stable():
     )
 
 
-def test_state_packing_limit():
-    wide = Configuration.from_dict(2, {0: [1, 2], 70000: [3]})
-    with pytest.raises(ValueError, match="16-bit"):
-        enumerate_stable(wide)
+def test_state_packing_limit(monkeypatch):
+    def no_expansion(*args):
+        raise AssertionError("a state was expanded before the size check")
+
+    monkeypatch.setattr(enumeration, "_successors", no_expansion)
+    for chips in ({0: [1, 2], 70000: [3]}, {0: [4, 5, 6], 40000: [1, 2, 3]}):
+        with pytest.raises(ValueError, match="16-bit"):
+            enumerate_stable(Configuration.from_dict(2, chips))
 
 
 @pytest.mark.parametrize("shape,ell,seeds", [(S2, 3, range(20)), (S3, 3, range(10))])

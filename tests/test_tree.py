@@ -6,12 +6,14 @@ from karyfire.tree import (
     TreeShape,
     child_index,
     children,
+    embed_vertex,
     is_left_child,
     is_right_child,
     layer,
     layer_size,
     layer_start,
     parent,
+    relative_index,
     straight_descendant,
     zigzag_path,
 )
@@ -149,3 +151,21 @@ def test_index_validation():
         layer_size(s, 0)
     with pytest.raises(ValueError):
         zigzag_path(s, 0, 0)
+
+
+@pytest.mark.parametrize("k,ell", [(2, 4), (3, 3)])
+def test_relative_index_roundtrip(k, ell):
+    shape = TreeShape(k)
+    vertices = range(layer_start(shape, ell + 1))
+    for top in vertices:
+        for v in vertices:
+            u = v
+            while u > top:
+                u = parent(shape, u)
+            rel = relative_index(shape, top, v)
+            if u == top:
+                assert rel is not None and embed_vertex(shape, top, rel) == v, (top, v)
+            else:
+                assert rel is None, (top, v)
+    assert relative_index(shape, 1, 1) == 0
+    assert embed_vertex(shape, 1, 1) == k + 1
