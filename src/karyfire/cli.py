@@ -123,6 +123,7 @@ def cmd_enumerate(args) -> int:
                 "count": len(result.stable_keys),
                 "states_explored": result.states_explored,
                 "memo_hits": result.memo_hits,
+                "level_widths": list(result.level_widths),
                 "truncated": result.truncated,
             }
         )

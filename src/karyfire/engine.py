@@ -376,11 +376,11 @@ def endgame_offenders(shape: TreeShape, ell: int, piles: dict[VertexId, Sized]) 
     The root must hold exactly k+1 chips, every vertex on layers 2..ell-1
     exactly k, and nothing may sit on layer ell or below.
     """
-    bad = [] if len(piles.get(0, ())) == shape.k + 1 else [0]
+    k = shape.k
     boundary = layer_start(shape, ell)
-    bad.extend(v for v in range(1, boundary) if len(piles.get(v, ())) != shape.k)
-    bad.extend(v for v in piles if v >= boundary)
-    return sorted(set(bad))
+    bad = [v for v in range(boundary) if len(piles.get(v, ())) != (k if v else k + 1)]
+    bad.extend(sorted(v for v in piles if v >= boundary))
+    return bad
 
 
 def endgame_start(shape: TreeShape, ell: int, config: Configuration) -> Configuration:
@@ -398,23 +398,34 @@ def endgame_start(shape: TreeShape, ell: int, config: Configuration) -> Configur
     return config
 
 
+def wave_order(shape: TreeShape, ell: int) -> list[tuple[int, VertexId, tuple[VertexId, ...]]]:
+    """The wave schedule of an endgame start for ell layers: (wave, vertex, destinations) in firing order.
+
+    Wave w fires vertices 0..N-1 once each in index order, where N counts
+    the vertices of the top (ell - w) layers.  Every scheduled vertex fires
+    all k+1 chips it holds when its turn comes.
+    """
+    return [
+        (wave, v, destinations(shape.k, v))
+        for wave in range(1, ell)
+        for v in range(layer_start(shape, ell - wave + 1))
+    ]
+
+
 def fire_waves(shape: TreeShape, ell: int, piles: dict[VertexId, list[int]]) -> list[tuple[VertexId, tuple[int, ...]]]:
     """Fire an endgame start for ell layers in waves, mutating `piles`; returns the moves.
 
-    Wave w fires vertices 0..N-1 once each in index order, where N counts
-    the vertices of the top (ell - w) layers.  Every scheduled vertex must
-    hold exactly k+1 chips when its turn comes.  Piles are sorted lists of
-    chip labels or of chip ranks: the two orders agree.
+    The schedule is `wave_order`.  Every scheduled vertex must hold exactly
+    k+1 chips when its turn comes.
     """
     k = shape.k
     moves = []
-    for wave in range(1, ell):
-        for v in range(layer_start(shape, ell - wave + 1)):
-            pile = tuple(piles.get(v, ()))
-            if len(pile) != k + 1:
-                raise WaveError(f"vertex {v} not ready in wave {wave} (holds {len(pile)} chips)")
-            _apply(k, piles, v, pile)
-            moves.append((v, pile))
+    for wave, v, _ in wave_order(shape, ell):
+        pile = tuple(piles.get(v, ()))
+        if len(pile) != k + 1:
+            raise WaveError(f"vertex {v} not ready in wave {wave} (holds {len(pile)} chips)")
+        _apply(k, piles, v, pile)
+        moves.append((v, pile))
     return moves
 
 

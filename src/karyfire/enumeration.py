@@ -4,19 +4,27 @@ The search treats the reachable configurations as a graph, not a trace
 tree: every distinct configuration is expanded once and successors that
 were already seen count as memo hits.  Labels are normalized to ranks up
 front (rank order and label order agree, and firing only looks at rank
-order), so each state packs into a short byte string: entry r of an
-unsigned-16-bit array is the vertex currently holding the r-th smallest
-chip.
+order), so each state packs into one int: bits [r*b, (r+1)*b) hold the
+vertex of the r-th smallest chip, where b is the bit length of the largest
+vertex the start can reach (at most 16).  A fire adds a fixed delta to
+that int.
+
+The search runs level by level.  By the abelian property of chip-firing
+(Björner, Lovász & Shor, *Chip-firing games on graphs*, 1991) the chip
+counts of a state fix how often each vertex fired to reach it, so every
+state has one depth and every fire leads from depth d to depth d+1.
+Duplicates therefore meet only within a level, and the search keeps just
+the current level, the next one and the stable set.
 """
 
 from __future__ import annotations
 
 import json
-from array import array
-from collections import deque
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
+from operator import itemgetter, lshift
 from typing import IO, Iterator
 
 from .engine import (
@@ -29,13 +37,14 @@ from .engine import (
     fire_waves,
     initial_config,
     run_waves,
+    wave_order,
 )
 from .tree import TreeShape, VertexId, layer, layer_start, relative_index
 
 DEFAULT_MAX_STATES = 10**8
 DEFAULT_MAX_STABLE = 10**7
 
-_VERTEX_LIMIT = 0xFFFF  # states are packed as uint16 vertex indices
+_VERTEX_LIMIT = 0xFFFF  # a state spends at most 16 bits on each chip's vertex
 
 
 class EnumerationTruncated(Exception):
@@ -48,41 +57,25 @@ def canonical_key(config: Configuration) -> bytes:
 
 
 # ---------------------------------------------------------------------------
-# packed rank-space states
+# int-packed rank-space states
 
 
-def _encode(config: Configuration, labels: tuple[int, ...]) -> bytes:
-    last = max(config.occupied(), default=0)
-    if last > _VERTEX_LIMIT:
-        raise ValueError(f"vertex {last} exceeds the 16-bit state encoding")
+def _encode(config: Configuration, labels: tuple[int, ...], bits: int) -> int:
     rank_of = {c: r for r, c in enumerate(labels)}
-    return _pack({v: [rank_of[c] for c in pile] for v, pile in config.chips}, len(labels))
+    return sum(v << (rank_of[c] * bits) for v, pile in config.chips for c in pile)
 
 
-def _decode(state: bytes, k: int, labels: tuple[int, ...]) -> Configuration:
-    piles = _rank_piles(state)
-    return Configuration(k, tuple((v, tuple(labels[r] for r in piles[v])) for v in sorted(piles)))
-
-
-def _rank_piles(state: bytes) -> dict[VertexId, list[int]]:
-    """Vertex -> ascending ranks of the chips it holds."""
+def _decode(state: int, k: int, labels: tuple[int, ...], bits: int) -> Configuration:
+    mask = (1 << bits) - 1
     piles: dict[VertexId, list[int]] = {}
-    for r, v in enumerate(array("H", state)):
-        piles.setdefault(v, []).append(r)
-    return piles
+    for r, c in enumerate(labels):
+        piles.setdefault(state >> (r * bits) & mask, []).append(c)
+    return Configuration(k, tuple((v, tuple(piles[v])) for v in sorted(piles)))
 
 
-def _pack(piles: dict[VertexId, list[int]], n: int) -> bytes:
-    """Inverse of `_rank_piles` for a state of n chips."""
-    arr = array("H", bytes(2 * n))
-    for v, pile in piles.items():
-        for r in pile:
-            arr[r] = v
-    return arr.tobytes()
-
-
-def _check_reach(config: Configuration) -> None:
-    """Refuse a start whose firing can send chips beyond the 16-bit encoding.
+def _check_reach(config: Configuration) -> int:
+    """The largest vertex a chip can occupy from `config` on; refuse one beyond
+    the 16-bit encoding.
 
     By least action no firing sequence fires a vertex that the unlabeled
     stabilization leaves unfired, so no fired chip lands beyond the last
@@ -90,49 +83,195 @@ def _check_reach(config: Configuration) -> None:
     """
     k = config.k
     _, fires = _unlabeled_relax(k, {v: len(pile) for v, pile in config.chips})
-    reach = max((k * v + k for v in fires), default=0)
+    reach = max((*config.occupied(), *(k * v + k for v in fires)), default=0)
     if reach > _VERTEX_LIMIT:
         raise ValueError(f"vertex {reach} exceeds the 16-bit state encoding")
+    return reach
 
 
-def _successors(
-    k: int, state: bytes, piles: dict[VertexId, list[int]]
-) -> Iterator[tuple[VertexId, tuple[int, ...], bytes]]:
-    """All (vertex, selected ranks, next state) one fire away from `state`."""
-    base = array("H", state)
-    for v, pile in piles.items():
-        if len(pile) <= k:
-            continue
-        dests = destinations(k, v)
-        for sel in combinations(pile, k + 1):
-            nxt = array("H", base)
-            for r, d in zip(sel, dests):
-                nxt[r] = d
-            yield v, sel, nxt.tobytes()
+class _FireDeltas(dict):
+    """Ascending selected ranks -> what firing them at vertex v adds to a state.
+
+    Entries are computed on first use.
+    """
+
+    def __init__(self, k: int, v: VertexId, bits: int) -> None:
+        super().__init__()
+        self.steps = [d - v for d in destinations(k, v)]
+        self.bits = bits
+
+    def __missing__(self, sel: tuple[int, ...]) -> int:
+        delta = self[sel] = sum(step << (r * self.bits) for r, step in zip(sel, self.steps))
+        return delta
 
 
 # ---------------------------------------------------------------------------
 # search
 
 
+class _WaveNetwork:
+    """`engine.wave_order` for ell layers, compiled into a fixed network on rank wires.
+
+    A wave fire takes every chip its vertex holds, so the schedule alone
+    fixes which wires feed each fire.  Wires 0.. carry the start piles in
+    vertex order; each fire sorts its k+1 input wires onto k+1 new wires,
+    one per destination.
+    """
+
+    def __init__(self, shape: TreeShape, ell: int) -> None:
+        k = shape.k
+        self.vertices = range(layer_start(shape, ell))
+        holding: dict[VertexId, list[int]] = {}
+        width = 0
+        for v in self.vertices:
+            holding[v] = list(range(width, width + (k + 1 if v == 0 else k)))
+            width += len(holding[v])
+        self.gathers = []
+        for _, v, dests in wave_order(shape, ell):
+            self.gathers.append(itemgetter(*holding.pop(v)))
+            for d in dests:
+                holding.setdefault(d, []).append(width)
+                width += 1
+        self.final_vertices = [v for v, wires in holding.items() for _ in wires]
+        self.final_wires = itemgetter(*(w for wires in holding.values() for w in wires))
+
+    def run(self, piles: dict[VertexId, list[int]], shifts: list[int]) -> int:
+        """The stable state that an endgame start with these rank piles collapses to."""
+        wires = list(chain.from_iterable(map(piles.__getitem__, self.vertices)))
+        for gather in self.gathers:
+            wires += sorted(gather(wires))
+        return sum(map(lshift, self.final_vertices, map(shifts.__getitem__, self.final_wires(wires))))
+
+
+@dataclass
+class _Search:
+    """Settings, counters and per-call caches of one level-by-level search."""
+
+    shape: TreeShape
+    n_chips: int
+    bits: int
+    max_states: int
+    max_stable: int
+    endgame_shortcut: bool
+    # state -> (parent state, (vertex, selected ranks)), or (parent, None) when
+    # the state is the outcome of the parent's endgame collapse; None when off
+    witnesses: dict | None
+    stable: set[int] = field(default_factory=set)
+    deltas: dict[VertexId, _FireDeltas] = field(default_factory=dict)
+    waves: dict[int, _WaveNetwork] = field(default_factory=dict)
+    explored: int = 0
+    hits: int = 0
+    seen: int = 1  # distinct states found so far, the start included
+    level_widths: list[int] = field(default_factory=list)
+    truncated: bool = False
+
+    def expand(self, level: set[int]) -> set[int]:
+        """Explore every state of one level and return the next level.
+
+        Stable states go to the stable set.  With the shortcut on, an
+        endgame-shaped state goes straight to its stable outcome.  The
+        search is truncated, and the rest of the level skipped, as soon as
+        a limit is exceeded.
+        """
+        self.level_widths.append(len(level))
+        k = self.shape.k
+        k1 = k + 1
+        mask = (1 << self.bits) - 1
+        shifts = [r * self.bits for r in range(self.n_chips)]
+        stable, witnesses, deltas = self.stable, self.witnesses, self.deltas
+        shortcut = self.endgame_shortcut
+        max_states, max_stable = self.max_states, self.max_stable
+        explored, hits, seen = self.explored, self.hits, self.seen
+        nxt: set[int] = set()
+        for state in level:
+            explored += 1
+            piles: defaultdict[VertexId, list[int]] = defaultdict(list)
+            for r, shift in enumerate(shifts):
+                piles[state >> shift & mask].append(r)
+            fireable = [v for v, pile in piles.items() if len(pile) > k]
+            if not fireable:
+                if state in stable:  # first reached as the outcome of an endgame collapse
+                    explored -= 1
+                    hits += 1
+                    seen -= 1
+                else:
+                    stable.add(state)
+            elif shortcut and fireable == [0] and len(piles[0]) == k1 and (ell := self._endgame_layers(piles)):
+                waves = self.waves.get(ell)
+                if waves is None:
+                    waves = self.waves[ell] = _WaveNetwork(self.shape, ell)
+                out = waves.run(piles, shifts)
+                if out in stable:
+                    hits += 1
+                else:
+                    stable.add(out)
+                    explored += 1
+                    seen += 1
+                    if witnesses is not None:
+                        witnesses[out] = (state, None)
+            else:
+                for v in fireable:
+                    fire = deltas.get(v)
+                    if fire is None:
+                        fire = deltas[v] = _FireDeltas(k, v, self.bits)
+                    for sel in combinations(piles[v], k1):
+                        succ = state + fire[sel]
+                        if succ in nxt:
+                            hits += 1
+                        else:
+                            nxt.add(succ)
+                            seen += 1
+                            if witnesses is not None:
+                                witnesses[succ] = (state, (v, sel))
+            if seen > max_states or len(stable) > max_stable:
+                self.truncated = True
+                break
+        self.explored, self.hits, self.seen = explored, hits, seen
+        return nxt
+
+    def _endgame_layers(self, piles: dict[VertexId, list[int]]) -> int:
+        """ell when `piles` has the endgame-start shape for ell layers, else 0.
+
+        The caller has checked that only the root can fire and that it
+        holds k+1 chips.  The last cheap test is that all the vertices above
+        layer ell are occupied; `engine.endgame_offenders` then decides.
+        """
+        ell = layer(self.shape, max(piles)) + 1
+        if len(piles) != layer_start(self.shape, ell) or endgame_offenders(self.shape, ell, piles):
+            return 0
+        return ell
+
+
 @dataclass
 class EnumerationResult:
-    """Outcome of an exhaustive search from one starting configuration."""
+    """Outcome of an exhaustive search from one starting configuration.
+
+    States are ints (see the module docstring) with `bits` bits per chip.
+    `level_widths[d]` is the size of level d: the distinct states at depth d
+    that the search popped or, for the last level of a truncated search,
+    was about to pop.  With the endgame shortcut on, a collapse outcome is
+    counted in `states_explored` without joining any level, and a level
+    member that a collapse already produced counts as a memo hit.  So the
+    widths of a complete run sum to `states_explored` only with the
+    shortcut off.
+    """
 
     k: int
     labels: tuple[int, ...]
-    start_key: bytes
-    stable_keys: frozenset[bytes]
+    start_key: int
+    stable_keys: frozenset[int]
     states_explored: int
     memo_hits: int
     truncated: bool
     max_states: int
     max_stable: int
+    bits: int
+    level_widths: tuple[int, ...]
     witnesses: dict | None = field(default=None, repr=False)
 
     @cached_property
     def stable_set(self) -> frozenset[Configuration]:
-        return frozenset(_decode(s, self.k, self.labels) for s in self.stable_keys)
+        return frozenset(_decode(s, self.k, self.labels, self.bits) for s in self.stable_keys)
 
     def iter_stable(self) -> Iterator[Configuration]:
         """Stable configurations in canonical (serialized) order."""
@@ -145,18 +284,28 @@ class EnumerationResult:
         """
         if self.witnesses is None:
             raise ValueError("witnesses were not recorded for this search")
-        key = _encode(config, self.labels)
+        known = (
+            config.k == self.k
+            and config.labels() == self.labels
+            and max(config.occupied(), default=0) >> self.bits == 0
+        )
+        key = _encode(config, self.labels, self.bits) if known else None
         if key != self.start_key and key not in self.witnesses:
             raise ValueError("no witness recorded for that configuration")
-        chunks = []
+        steps = []
         while key != self.start_key:
-            key, moves = self.witnesses[key]
-            chunks.append(moves)
+            key, move = self.witnesses[key]
+            steps.append((key, move))
+        shape = TreeShape(self.k)
         trace: list[FiringMove] = []
-        for moves in reversed(chunks):
-            trace.extend(
-                FiringMove(v, tuple(self.labels[r] for r in sel)) for v, sel in moves
-            )
+        for parent, move in reversed(steps):
+            if move is None:  # an endgame collapse: replay the wave schedule on labels
+                piles = {v: list(pile) for v, pile in _decode(parent, self.k, self.labels, self.bits).chips}
+                ell = layer(shape, max(piles)) + 1
+                trace.extend(FiringMove(v, pile) for v, pile in fire_waves(shape, ell, piles))
+            else:
+                v, sel = move
+                trace.append(FiringMove(v, tuple(self.labels[r] for r in sel)))
         return trace
 
 
@@ -176,57 +325,28 @@ def enumerate_stable(
     endgame-shaped states straight to their unique stable outcome instead
     of expanding every interleaving.
     """
-    k = config.k
-    shape = config.shape
     labels = config.labels()
-    start = _encode(config, labels)
-    _check_reach(config)
-
-    visited = {start}
-    stable_keys: set[bytes] = set()
-    witnesses: dict | None = {} if record_witnesses else None
-    work: deque[bytes] = deque([start])
-    explored = hits = 0
-    truncated = False
-    while work:
-        state = work.popleft()
-        explored += 1
-        piles = _rank_piles(state)
-        if all(len(p) <= k for p in piles.values()):
-            stable_keys.add(state)
-            successors = ()
-        elif (
-            endgame_shortcut
-            and len(piles.get(0, ())) == k + 1
-            and not endgame_offenders(shape, ell := layer(shape, max(piles)) + 1, piles)
-        ):
-            moves = fire_waves(shape, ell, piles)
-            successors = ((_pack(piles, len(labels)), tuple(moves)),)
-        else:
-            successors = ((nxt, ((v, sel),)) for v, sel, nxt in _successors(k, state, piles))
-        for nxt, moves in successors:
-            if nxt in visited:
-                hits += 1
-                continue
-            visited.add(nxt)
-            if witnesses is not None:
-                witnesses[nxt] = (state, moves)
-            work.append(nxt)
-        if len(visited) > max_states or len(stable_keys) > max_stable:
-            truncated = True
-            break
+    bits = max(_check_reach(config), 1).bit_length()
+    start = _encode(config, labels, bits)
+    witnesses = {} if record_witnesses else None
+    search = _Search(config.shape, config.n_chips, bits, max_states, max_stable, endgame_shortcut, witnesses)
+    level = {start}
+    while level and not search.truncated:
+        level = search.expand(level)
 
     return EnumerationResult(
-        k=k,
+        k=config.k,
         labels=labels,
         start_key=start,
-        stable_keys=frozenset(stable_keys),
-        states_explored=explored,
-        memo_hits=hits,
-        truncated=truncated,
+        stable_keys=frozenset(search.stable),
+        states_explored=search.explored,
+        memo_hits=search.hits,
+        truncated=search.truncated,
         max_states=max_states,
         max_stable=max_stable,
-        witnesses=witnesses,
+        bits=bits,
+        level_widths=tuple(search.level_widths),
+        witnesses=search.witnesses,
     )
 
 
@@ -303,5 +423,6 @@ def dump_stable(result: EnumerationResult, stream: IO[str]) -> None:
         "truncated": result.truncated,
         "max_states": result.max_states,
         "max_stable": result.max_stable,
+        "level_widths": list(result.level_widths),
     }
     stream.write(json.dumps(summary, sort_keys=True) + "\n")

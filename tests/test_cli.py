@@ -94,6 +94,7 @@ def test_enumerate_json():
     assert code == 0
     payload = json.loads(out)
     assert payload["count"] == 6
+    assert payload["level_widths"] == [1, 15, 36]
     assert payload["truncated"] is False
 
 

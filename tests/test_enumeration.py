@@ -3,11 +3,13 @@
 import io
 import json
 import random
+from collections import defaultdict
+from functools import cache
 
 import pytest
 
 from karyfire import enumeration
-from karyfire.engine import Configuration, fire, initial_config, legal_moves, random_endgame_start
+from karyfire.engine import Configuration, fire, initial_config, legal_moves, random_endgame_start, run_waves
 from karyfire.enumeration import (
     EnumerationTruncated,
     canonical_key,
@@ -17,7 +19,7 @@ from karyfire.enumeration import (
     subtree_orderings,
     verify_endgame_confluence,
 )
-from karyfire.tree import TreeShape, layer, layer_size, layer_start
+from karyfire.tree import TreeShape, children, layer, layer_size, layer_start, parent
 
 S2 = TreeShape(2)
 S3 = TreeShape(3)
@@ -50,6 +52,34 @@ def brute_force_stable(config):
                 seen.add(nxt)
                 queue.append(nxt)
     return stable
+
+
+@cache
+def three_layers(shape, shortcut, witnesses):
+    """The search from the three-layer start, shared by the tests that read its counters."""
+    return enumerate_stable(initial_config(shape, 3), endgame_shortcut=shortcut, record_witnesses=witnesses)
+
+
+def unlabeled_levels(k, counts):
+    """Reference: for each d, the chip-count vectors reachable in exactly d
+    unlabeled fires (a fire moves one chip to the parent and one to each child)."""
+    shape = TreeShape(k)
+    level = {tuple(sorted(counts.items()))}
+    levels = []
+    while level:
+        levels.append(level)
+        nxt = set()
+        for state in level:
+            for v, c in state:
+                if c <= k:
+                    continue
+                after = dict(state)
+                after[v] -= k + 1
+                for u in [parent(shape, v), *children(shape, v)]:
+                    after[u] = after.get(u, 0) + 1
+                nxt.add(tuple(sorted((u, c) for u, c in after.items() if c)))
+        level = nxt
+    return levels
 
 
 def test_binary_three_layers_has_six_outcomes():
@@ -92,6 +122,29 @@ def test_random_starts_match_brute_force_search():
         expected = brute_force_stable(start)
         for shortcut in (True, False):
             assert enumerate_stable(start, endgame_shortcut=shortcut).stable_set == expected, start
+
+
+@pytest.mark.parametrize("shape, ell", [(S2, 4), (S2, 5), (S3, 3), (TreeShape(4), 3)])
+def test_endgame_starts_collapse_to_the_wave_outcome(shape, ell):
+    """The search collapses an endgame start at once, firing the wave
+    schedule on ranks; the outcome must be what `run_waves` gives on labels."""
+    for seed in range(3):
+        start = random_endgame_start(shape, ell, seed)
+        result = enumerate_stable(start)
+        assert result.stable_set == {run_waves(start)}, (shape.k, ell, seed)
+        assert (result.states_explored, result.memo_hits, result.level_widths) == (2, 0, (1,))
+
+
+@pytest.mark.parametrize("shortcut, counters", [(True, (19475, 220167)), (False, (27903, 226363))])
+def test_ternary_three_layers_counters(shortcut, counters):
+    """Pinned (3,3) counters; recording witnesses changes none of them."""
+    plain, traced = (three_layers(S3, shortcut, witnesses) for witnesses in (False, True))
+    for result in (plain, traced):
+        assert len(result.stable_keys) == 744
+        assert (result.states_explored, result.memo_hits) == counters
+        assert not result.truncated
+    assert traced.stable_keys == plain.stable_keys
+    assert traced.level_widths == plain.level_widths
 
 
 def test_binary_stable_set_is_closed_under_mirror_complement():
@@ -161,6 +214,44 @@ def test_witnesses_replay_through_the_kernel():
         assert state == target
 
 
+def test_witness_trace_refuses_configurations_the_search_never_saw():
+    result = enumerate_stable(initial_config(S2, 3), record_witnesses=True)
+    strangers = (
+        {0: [1, 2, 3, 4, 5, 6, 8]},  # a label the search never saw
+        {0: [1, 2, 3, 4, 5, 6], 40: [7]},  # a vertex beyond every reachable one
+    )
+    for chips in strangers:
+        with pytest.raises(ValueError, match="no witness recorded"):
+            result.witness_trace(Configuration.from_dict(2, chips))
+    with pytest.raises(ValueError, match="no witness recorded"):
+        result.witness_trace(Configuration.from_dict(3, {0: range(1, 8)}))
+
+
+def test_level_widths_count_every_state_once():
+    result = three_layers(S3, False, False)
+    assert result.level_widths == (1, 220, 5124, 13386, 1363, 3470, 2851, 744, 744)
+    assert sum(result.level_widths) == result.states_explored == 27903
+
+
+@pytest.mark.parametrize("shape", [S2, S3])
+def test_levels_project_onto_the_unlabeled_levels(shape):
+    """Level d holds exactly the labeled states whose chip counts are
+    reachable in d unlabeled fires (the abelian property)."""
+    start = initial_config(shape, 3)
+    result = three_layers(shape, False, True)
+    depth = {result.start_key: 0}
+    for key, (parent_key, _) in result.witnesses.items():  # parents are recorded first
+        depth[key] = depth[parent_key] + 1
+    levels = defaultdict(list)
+    for key, d in depth.items():
+        levels[d].append(enumeration._decode(key, result.k, result.labels, result.bits))
+    assert [len(levels[d]) for d in range(len(levels))] == list(result.level_widths)
+    expected = unlabeled_levels(shape.k, {0: start.n_chips})
+    assert len(expected) == len(levels)
+    for d, configs in levels.items():
+        assert {tuple((v, len(pile)) for v, pile in c.chips) for c in configs} == expected[d], d
+
+
 def test_witnesses_off_by_default():
     result = enumerate_stable(initial_config(S2, 3))
     with pytest.raises(ValueError, match="witnesses were not recorded"):
@@ -194,7 +285,7 @@ def test_state_packing_limit(monkeypatch):
     def no_expansion(*args):
         raise AssertionError("a state was expanded before the size check")
 
-    monkeypatch.setattr(enumeration, "_successors", no_expansion)
+    monkeypatch.setattr(enumeration._Search, "expand", no_expansion)
     for chips in ({0: [1, 2], 70000: [3]}, {0: [4, 5, 6], 40000: [1, 2, 3]}):
         with pytest.raises(ValueError, match="16-bit"):
             enumerate_stable(Configuration.from_dict(2, chips))
@@ -231,3 +322,4 @@ def test_dump_stable_format():
     assert summary["stable"] == 6
     assert summary["truncated"] is False
     assert summary["states_explored"] > 0
+    assert summary["level_widths"] == [1, 15, 36]
