@@ -67,6 +67,7 @@ def _emit_json(payload: dict) -> None:
 
 def cmd_simulate(args) -> int:
     shape = TreeShape(args.k)
+    check_state_size(shape, args.ell)
     config = initial_config(shape, args.ell)
     if args.script is not None:
         with open(args.script, encoding="utf-8") as fh:
@@ -207,6 +208,7 @@ def cmd_verify(args) -> int:
             "zigzag-relation": check_zigzag_relation,
             "ballot": check_ballot,
         }[prop]
+        check_state_size(shape, args.ell)
         if args.samples is not None:
             used_seed = args.seed
             configs = []
@@ -214,7 +216,6 @@ def cmd_verify(args) -> int:
                 final, _ = stabilize(initial_config(shape, args.ell), "random", seed=args.seed + idx)
                 configs.append(final)
         else:
-            check_state_size(shape, args.ell)
             result = enumerate_stable(initial_config(shape, args.ell))
             if result.truncated:
                 raise EnumerationTruncated("enumeration truncated — cannot verify the full stable set")

@@ -17,7 +17,6 @@ import json
 import random as _random
 from bisect import insort
 from collections import deque
-from collections.abc import Sized
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -370,16 +369,17 @@ def unlabeled_profile(shape: TreeShape, n_chips: int) -> list[int]:
 # endgame
 
 
-def endgame_offenders(shape: TreeShape, ell: int, piles: dict[VertexId, Sized]) -> list[VertexId]:
-    """Vertices whose piles break the endgame-start shape for ell layers, ascending.
+def endgame_offenders(shape: TreeShape, ell: int, counts: dict[VertexId, int]) -> list[VertexId]:
+    """Vertices whose chip counts break the endgame-start shape for ell layers, ascending.
 
-    The root must hold exactly k+1 chips, every vertex on layers 2..ell-1
-    exactly k, and nothing may sit on layer ell or below.
+    `counts` maps each occupied vertex to its number of chips.  The root
+    must hold exactly k+1 chips, every vertex on layers 2..ell-1 exactly k,
+    and nothing may sit on layer ell or below.
     """
     k = shape.k
     boundary = layer_start(shape, ell)
-    bad = [v for v in range(boundary) if len(piles.get(v, ())) != (k if v else k + 1)]
-    bad.extend(sorted(v for v in piles if v >= boundary))
+    bad = [v for v in range(boundary) if counts.get(v, 0) != (k if v else k + 1)]
+    bad.extend(sorted(v for v in counts if v >= boundary))
     return bad
 
 
@@ -392,7 +392,7 @@ def endgame_start(shape: TreeShape, ell: int, config: Configuration) -> Configur
         raise ValueError(f"ell must be >= 2, got {ell}")
     if config.k != shape.k:
         raise ValueError(f"configuration arity {config.k} does not match shape {shape.k}")
-    bad = endgame_offenders(shape, ell, config.as_dict())
+    bad = endgame_offenders(shape, ell, {v: len(pile) for v, pile in config.chips})
     if bad:
         raise EndgameShapeError(f"not an endgame-start shape for ell={ell} (offending vertices {bad})")
     return config

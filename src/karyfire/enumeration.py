@@ -15,15 +15,27 @@ counts of a state fix how often each vertex fired to reach it, so every
 state has one depth and every fire leads from depth d to depth d+1.
 Duplicates therefore meet only within a level, and the search keeps just
 the current level, the next one and the stable set.
+
+A level is grouped by chip-count vector.  The states of one group share
+which vertices can fire, whether they are stable, whether they have the
+endgame shape and which group each fire leads to, so all of that is worked
+out once per group.  A state is decoded once, into its ranks sorted by
+vertex; every pile is then a fixed slice of that list, and an endgame state
+feeds the list straight into the compiled wave schedule.  A root fire keeps
+its median, so root selections that differ only in the median give one
+successor: the search fires each set of shed chips once and counts the
+other selections as memo hits, which leaves every counter as it would be
+with one fire per selection.
 """
 
 from __future__ import annotations
 
 import json
-from collections import defaultdict
+from bisect import bisect
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import combinations, compress
+from math import comb
 from operator import itemgetter, lshift
 from typing import IO, Iterator
 
@@ -90,19 +102,47 @@ def _check_reach(config: Configuration) -> int:
 
 
 class _FireDeltas(dict):
-    """Ascending selected ranks -> what firing them at vertex v adds to a state.
+    """Ascending ranks -> what firing them at vertex v adds to a state.
 
-    Entries are computed on first use.
+    The key holds the k+1 selected ranks, except at the root: the root keeps
+    its median, so there the key holds only the k ranks that leave.  Entries
+    are computed on first use.
     """
 
     def __init__(self, k: int, v: VertexId, bits: int) -> None:
         super().__init__()
         self.steps = [d - v for d in destinations(k, v)]
+        if v == 0:
+            del self.steps[k // 2]
         self.bits = bits
 
     def __missing__(self, sel: tuple[int, ...]) -> int:
         delta = self[sel] = sum(step << (r * self.bits) for r, step in zip(sel, self.steps))
         return delta
+
+
+def _root_leavers(k: int, c: int) -> tuple[list[bool], int]:
+    """Which k-subsets of a root pile of c chips some root fire sheds, and how
+    many of the comb(c, k+1) selections repeat one of them.
+
+    A root fire keeps its median, so the selections that differ only in the
+    median shed the same k chips.  A k-subset is shed when at least one chip
+    of the pile lies strictly between its positions h-1 and h (h = k//2);
+    with g such chips, g selections shed it.  Returns one flag per k-subset
+    in `itertools.combinations` order and the number of surplus selections.
+    """
+    h = k // 2
+    shed = [p[h] - p[h - 1] > 1 for p in combinations(range(c), k)]
+    return shed, comb(c, k + 1) - sum(shed)
+
+
+def _with_median(k: int, leavers: tuple[int, ...], pile: list[int]) -> tuple[int, ...]:
+    """The lexicographically first root selection that sheds `leavers`:
+    they plus the smallest rank of the ascending `pile` between positions
+    h-1 and h of `leavers` (h = k//2)."""
+    h = k // 2
+    median = pile[bisect(pile, leavers[h - 1])]
+    return (*leavers[:h], median, *leavers[h:])
 
 
 # ---------------------------------------------------------------------------
@@ -120,10 +160,9 @@ class _WaveNetwork:
 
     def __init__(self, shape: TreeShape, ell: int) -> None:
         k = shape.k
-        self.vertices = range(layer_start(shape, ell))
         holding: dict[VertexId, list[int]] = {}
         width = 0
-        for v in self.vertices:
+        for v in range(layer_start(shape, ell)):
             holding[v] = list(range(width, width + (k + 1 if v == 0 else k)))
             width += len(holding[v])
         self.gathers = []
@@ -135,12 +174,19 @@ class _WaveNetwork:
         self.final_vertices = [v for v, wires in holding.items() for _ in wires]
         self.final_wires = itemgetter(*(w for wires in holding.values() for w in wires))
 
-    def run(self, piles: dict[VertexId, list[int]], shifts: list[int]) -> int:
-        """The stable state that an endgame start with these rank piles collapses to."""
-        wires = list(chain.from_iterable(map(piles.__getitem__, self.vertices)))
+    def run(self, wires: list[int]) -> tuple[int, ...]:
+        """The ranks an endgame start ends with on `final_vertices`, in that order.
+
+        `wires` holds the start's ranks in vertex order; it is extended in place.
+        """
         for gather in self.gathers:
             wires += sorted(gather(wires))
-        return sum(map(lshift, self.final_vertices, map(shifts.__getitem__, self.final_wires(wires))))
+        return self.final_wires(wires)
+
+
+# A level maps each chip-count vector (one entry per vertex up to the reach)
+# to the set of states at that depth with those counts.
+Level = dict[tuple[int, ...], set[int]]
 
 
 @dataclass
@@ -158,88 +204,126 @@ class _Search:
     witnesses: dict | None
     stable: set[int] = field(default_factory=set)
     deltas: dict[VertexId, _FireDeltas] = field(default_factory=dict)
-    waves: dict[int, _WaveNetwork] = field(default_factory=dict)
+    # The chip count fixes ell for every endgame start, so one network serves
+    # the search, and its final-wire tuples name the outcomes one to one.
+    network: _WaveNetwork | None = None
+    outcomes: set[tuple[int, ...]] = field(default_factory=set)
     explored: int = 0
     hits: int = 0
     seen: int = 1  # distinct states found so far, the start included
     level_widths: list[int] = field(default_factory=list)
     truncated: bool = False
 
-    def expand(self, level: set[int]) -> set[int]:
+    def expand(self, level: Level) -> Level:
         """Explore every state of one level and return the next level.
 
-        Stable states go to the stable set.  With the shortcut on, an
-        endgame-shaped state goes straight to its stable outcome.  The
-        search is truncated, and the rest of the level skipped, as soon as
-        a limit is exceeded.
+        The level is consumed state by state, so its memory can serve the
+        next level as it grows.  Stable states go to the stable set.  With
+        the shortcut on, an endgame-shaped state goes straight to its stable
+        outcome.  The search is truncated, and the rest of the level
+        skipped, as soon as a limit is exceeded.
         """
-        self.level_widths.append(len(level))
+        self.level_widths.append(sum(map(len, level.values())))
         k = self.shape.k
         k1 = k + 1
         mask = (1 << self.bits) - 1
-        shifts = [r * self.bits for r in range(self.n_chips)]
-        stable, witnesses, deltas = self.stable, self.witnesses, self.deltas
-        shortcut = self.endgame_shortcut
+        ranks = range(self.n_chips)
+        shifts = [r * self.bits for r in ranks]
+        stable, witnesses, outcomes = self.stable, self.witnesses, self.outcomes
         max_states, max_stable = self.max_states, self.max_stable
         explored, hits, seen = self.explored, self.hits, self.seen
-        nxt: set[int] = set()
-        for state in level:
-            explored += 1
-            piles: defaultdict[VertexId, list[int]] = defaultdict(list)
-            for r, shift in enumerate(shifts):
-                piles[state >> shift & mask].append(r)
-            fireable = [v for v, pile in piles.items() if len(pile) > k]
-            if not fireable:
-                if state in stable:  # first reached as the outcome of an endgame collapse
-                    explored -= 1
-                    hits += 1
-                    seen -= 1
+        nxt: Level = {}
+        while level:
+            counts, states = level.popitem()
+            states = list(states)  # a set keeps its table while popped; a list shrinks
+            fires, surplus, network = self._group(counts, nxt)
+            while states:
+                state = states.pop()
+                explored += 1
+                if not (fires or network):
+                    if state in stable:  # first reached as the outcome of an endgame collapse
+                        explored -= 1
+                        hits += 1
+                        seen -= 1
+                    else:
+                        stable.add(state)
                 else:
-                    stable.add(state)
-            elif shortcut and fireable == [0] and len(piles[0]) == k1 and (ell := self._endgame_layers(piles)):
-                waves = self.waves.get(ell)
-                if waves is None:
-                    waves = self.waves[ell] = _WaveNetwork(self.shape, ell)
-                out = waves.run(piles, shifts)
-                if out in stable:
-                    hits += 1
-                else:
-                    stable.add(out)
-                    explored += 1
-                    seen += 1
-                    if witnesses is not None:
-                        witnesses[out] = (state, None)
-            else:
-                for v in fireable:
-                    fire = deltas.get(v)
-                    if fire is None:
-                        fire = deltas[v] = _FireDeltas(k, v, self.bits)
-                    for sel in combinations(piles[v], k1):
-                        succ = state + fire[sel]
-                        if succ in nxt:
+                    keys = [state >> s & mask for s in shifts]
+                    wires = sorted(ranks, key=keys.__getitem__)
+                    if network:
+                        final = network.run(wires)
+                        if final in outcomes:
                             hits += 1
                         else:
-                            nxt.add(succ)
+                            # The outcome lies a fixed number of wave fires
+                            # deeper than this level, so no level popped so far
+                            # can have put it in the stable set.
+                            outcomes.add(final)
+                            out = sum(map(lshift, network.final_vertices, map(shifts.__getitem__, final)))
+                            stable.add(out)
+                            explored += 1
                             seen += 1
                             if witnesses is not None:
-                                witnesses[succ] = (state, (v, sel))
-            if seen > max_states or len(stable) > max_stable:
-                self.truncated = True
+                                witnesses[out] = (state, None)
+                    else:
+                        hits += surplus
+                        for v, lo, hi, shed, bucket, fire in fires:
+                            if v:
+                                sels = combinations(wires[lo:hi], k1)
+                            else:
+                                sels = compress(combinations(wires[:hi], k), shed)
+                            for sel in sels:
+                                succ = state + fire[sel]
+                                if succ in bucket:
+                                    hits += 1
+                                else:
+                                    bucket.add(succ)
+                                    seen += 1
+                                    if witnesses is not None:
+                                        witnesses[succ] = (state, (v, sel if v else _with_median(k, sel, wires[:hi])))
+                if seen > max_states or len(stable) > max_stable:
+                    self.truncated = True
+                    break
+            if self.truncated:
                 break
         self.explored, self.hits, self.seen = explored, hits, seen
         return nxt
 
-    def _endgame_layers(self, piles: dict[VertexId, list[int]]) -> int:
-        """ell when `piles` has the endgame-start shape for ell layers, else 0.
+    def _group(self, counts: tuple[int, ...], nxt: Level) -> tuple[list, int, _WaveNetwork | None]:
+        """What every state with these chip counts does, worked out once.
 
-        The caller has checked that only the root can fire and that it
-        holds k+1 chips.  The last cheap test is that all the vertices above
-        layer ell are occupied; `engine.endgame_offenders` then decides.
+        Returns the fires, the surplus root selections that each state
+        counts as memo hits, and the wave network if the shortcut is on and
+        the counts have the endgame shape.  A fire is (vertex, the slice of
+        its pile in the ranks sorted by vertex, the `_root_leavers` flags at
+        the root, the next-level set it feeds, its deltas).  Stable counts
+        give neither fires nor a network.
         """
-        ell = layer(self.shape, max(piles)) + 1
-        if len(piles) != layer_start(self.shape, ell) or endgame_offenders(self.shape, ell, piles):
-            return 0
-        return ell
+        k = self.shape.k
+        fireable = [v for v, c in enumerate(counts) if c > k]
+        if self.endgame_shortcut and fireable == [0] and counts[0] == k + 1:
+            occupied = {v: c for v, c in enumerate(counts) if c}
+            ell = layer(self.shape, max(occupied)) + 1
+            if not endgame_offenders(self.shape, ell, occupied):
+                if self.network is None:
+                    self.network = _WaveNetwork(self.shape, ell)
+                return [], 0, self.network
+        fires = []
+        surplus = 0
+        for v in fireable:
+            after = list(counts)
+            after[v] -= k + 1
+            for d in destinations(k, v):
+                after[d] += 1
+            shed = None
+            if v == 0:
+                shed, surplus = _root_leavers(k, counts[0])
+            fire = self.deltas.get(v)
+            if fire is None:
+                fire = self.deltas[v] = _FireDeltas(k, v, self.bits)
+            lo = sum(counts[:v])
+            fires.append((v, lo, lo + counts[v], shed, nxt.setdefault(tuple(after), set()), fire))
+        return fires, surplus, None
 
 
 @dataclass
@@ -326,11 +410,15 @@ def enumerate_stable(
     of expanding every interleaving.
     """
     labels = config.labels()
-    bits = max(_check_reach(config), 1).bit_length()
+    reach = _check_reach(config)
+    bits = max(reach, 1).bit_length()
     start = _encode(config, labels, bits)
     witnesses = {} if record_witnesses else None
     search = _Search(config.shape, config.n_chips, bits, max_states, max_stable, endgame_shortcut, witnesses)
-    level = {start}
+    counts = [0] * (reach + 1)
+    for v, pile in config.chips:
+        counts[v] = len(pile)
+    level = {tuple(counts): {start}}
     while level and not search.truncated:
         level = search.expand(level)
 

@@ -111,6 +111,8 @@ def test_enumerate_truncation_exit_code():
         ["enumerate", "--k", "2", "--ell", "40"],
         ["verify", "--k", "2", "--ell", "40", "--property", "ballot"],
         ["verify", "--k", "2", "--ell", "40", "--property", "endgame-confluence"],
+        ["verify", "--k", "2", "--ell", "40", "--property", "ballot", "--samples", "1"],
+        ["simulate", "--k", "2", "--ell", "40"],
     ],
 )
 def test_oversized_search_is_refused_before_the_start_is_built(argv):

@@ -1,5 +1,6 @@
 """Exhaustive reachability search and everything layered on top of it."""
 
+import hashlib
 import io
 import json
 import random
@@ -145,6 +146,51 @@ def test_ternary_three_layers_counters(shortcut, counters):
         assert not result.truncated
     assert traced.stable_keys == plain.stable_keys
     assert traced.level_widths == plain.level_widths
+
+
+def test_binary_four_layer_slice_counters():
+    """A (2,4) start six root fires deep: child fires, root fires and the
+    four-layer endgame collapse all run in one search."""
+    start = Configuration.from_dict(2, {0: [12, 14, 15], 1: [1, 2, 4, 6, 8, 10], 2: [3, 5, 7, 9, 11, 13]})
+    result = enumerate_stable(start)
+    assert not result.truncated
+    assert len(result.stable_keys) == 950
+    assert (result.states_explored, result.memo_hits) == (103618, 418940)
+    assert result.level_widths == (1, 41, 540, 3799, 11532, 29419, 57336)
+    keys = sorted(canonical_key(c) for c in result.stable_set)
+    assert hashlib.sha256(b"\n".join(keys)).hexdigest().startswith("b04d30c46bbae844")
+
+
+@pytest.mark.parametrize("shortcut", [True, False])
+def test_ternary_witnesses_replay_through_the_kernel(shortcut):
+    """Each root fire is generated once per set of shed chips; the recorded
+    witnesses must still replay to their outcomes, and the stable set must
+    not depend on the shortcut."""
+    start = initial_config(S3, 3)
+    result = three_layers(S3, shortcut, True)
+    for target in result.stable_set:
+        state = start
+        for move in result.witness_trace(target):
+            state = fire(state, move)
+        assert state == target
+    assert result.stable_keys == three_layers(S3, not shortcut, False).stable_keys
+
+
+def test_root_witnesses_take_the_first_selection():
+    """A recorded root fire is the lexicographically first selection that
+    leads from its parent to its child."""
+    result = enumerate_stable(initial_config(S2, 3), endgame_shortcut=False, record_witnesses=True)
+    checked = 0
+    for key, (parent_key, move) in result.witnesses.items():
+        if move is None or move[0] != 0:
+            continue
+        parent = enumeration._decode(parent_key, result.k, result.labels, result.bits)
+        child = enumeration._decode(key, result.k, result.labels, result.bits)
+        _, sel = move
+        first = next(m for m in legal_moves(parent) if m.vertex == 0 and fire(parent, m) == child)
+        assert first.selected == tuple(result.labels[r] for r in sel)
+        checked += 1
+    assert checked > 10
 
 
 def test_binary_stable_set_is_closed_under_mirror_complement():
