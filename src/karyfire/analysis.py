@@ -118,11 +118,11 @@ def check_zigzag_relation(config: Configuration) -> PropertyVerdict:
         involved = [s] + [c for c in kids if c in piles]
         if any(v not in single for v in involved):
             continue
-        inner = [c for c in kids[: k // 2] if c in piles]  # the ascending side
-        outer = [single[s]] + [single[c] for c in kids[k // 2 :] if c in piles]
+        inner, outer = kids[: k // 2], kids[k // 2 :]  # the ascending side first
         if mirrored:
-            inner = [c for c in kids[k // 2 :] if c in piles]
-            outer = [single[s]] + [single[c] for c in kids[: k // 2] if c in piles]
+            inner, outer = outer, inner
+        inner = [c for c in inner if c in piles]
+        outer = [single[s]] + [single[c] for c in outer if c in piles]
         for a, b in zip(inner, inner[1:]):
             if single[a] >= single[b]:
                 witnesses.append((b, single[b]))

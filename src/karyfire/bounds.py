@@ -200,29 +200,29 @@ def naive_bound(k: int, ell: int) -> BoundReport:
     return BoundReport("naive", k, ell, _fact(n_chips(k, ell) - 2))
 
 
-def _layer_parts(k: int, ell: int) -> list[int]:
-    """Subtree sizes hanging off a root-anchored zigzag path, as multinomial parts."""
-    parts = [n_chips(k, ell - 1) - 1] + [n_chips(k, ell - 1)] * (k - 2)
-    parts += [n_chips(k, ell - 2) - 1] + [n_chips(k, ell - 2)] * (k - 2)
-    for i in range(ell - 3, 0, -1):
-        parts += [n_chips(k, i)] * (k - 1)
-    return parts
-
-
 @lru_cache(maxsize=None)
-def zigzag_layer_factor(k: int, ell: int) -> int:
+def _zigzag_factor(k: int, ell: int, drop: int) -> int:
     """Ways to choose and order the chips of one zigzag path and split the rest.
 
     The product of a binomial (which chips ride the zigzag), a multinomial
-    (how the remaining chips scatter over the hanging subtrees), and the
-    alternating-permutation count (how the zigzag chips interleave).
+    (how the remaining chips scatter over the subtrees hanging off the path),
+    and the alternating-permutation count (how the zigzag chips interleave).
+    The two leading subtrees each hold `drop` chips fewer than a full load.
     """
-    if ell < 3:
-        raise ValueError(f"need ell >= 3, got {ell}")
-    n = n_chips(k, ell)
-    parts = _layer_parts(k, ell)
+    parts = [n_chips(k, ell - 1) - 1 - drop] + [n_chips(k, ell - 1)] * (k - 2)
+    parts += [n_chips(k, ell - 2) - 1 - drop] + [n_chips(k, ell - 2)] * (k - 2)
+    for i in range(ell - 3, 0, -1):
+        parts += [n_chips(k, i)] * (k - 1)
+    n = n_chips(k, ell) - 2 * drop
     assert sum(parts) == n - ell - 2, "subtree sizes must account for all remaining chips"
     return comb(n - 2, ell) * multinomial(n - ell - 2, parts) * euler_zigzag(ell)
+
+
+def zigzag_layer_factor(k: int, ell: int) -> int:
+    """The zigzag factor of one layer: every subtree holds a full load."""
+    if ell < 3:
+        raise ValueError(f"need ell >= 3, got {ell}")
+    return _zigzag_factor(k, ell, 0)
 
 
 def zigzag_bound(k: int, ell: int) -> BoundReport:
@@ -252,24 +252,19 @@ def recursive_orderings_bound(k: int, ell: int, t_values: list[int]) -> int:
     return value
 
 
-@lru_cache(maxsize=None)
 def binary_layer_factor_orderings(ell: int) -> int:
-    """Binary-tree zigzag factor counting subtree orderings."""
+    """Binary-tree zigzag factor counting subtree orderings: `zigzag_layer_factor(2, ell)`."""
     if ell < 4:
         raise ValueError(f"need ell >= 4, got {ell}")
-    parts = [2 ** (ell - 1) - 2, 2 ** (ell - 2) - 2]
-    parts += [2**i - 1 for i in range(ell - 3, 0, -1)]
-    return euler_zigzag(ell) * comb(2**ell - 3, ell) * multinomial(2**ell - ell - 3, parts)
+    return _zigzag_factor(2, ell, 0)
 
 
-@lru_cache(maxsize=None)
 def binary_layer_factor_configs(ell: int) -> int:
-    """Binary-tree zigzag factor counting stable configurations."""
+    """Binary-tree zigzag factor counting stable configurations: one chip
+    fewer in each of the two leading subtrees."""
     if ell < 4:
         raise ValueError(f"need ell >= 4, got {ell}")
-    parts = [2 ** (ell - 1) - 3, 2 ** (ell - 2) - 3]
-    parts += [2**i - 1 for i in range(ell - 3, 0, -1)]
-    return euler_zigzag(ell) * comb(2**ell - 5, ell) * multinomial(2**ell - ell - 5, parts)
+    return _zigzag_factor(2, ell, 1)
 
 
 def binary_zigzag_bound(ell: int, which: str) -> BoundReport:

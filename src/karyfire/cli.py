@@ -47,7 +47,7 @@ from .enumeration import (
     enumerate_stable,
     verify_endgame_confluence,
 )
-from .tree import TreeShape, layer_size, layer_start
+from .tree import TreeShape, layer_start
 
 FORMAT_VERSION = 1
 
@@ -187,14 +187,6 @@ def cmd_bounds(args) -> int:
     return 0
 
 
-def _expected_counts(shape: TreeShape, profile: list[int]) -> dict[int, int]:
-    expected = {}
-    for depth, per_vertex in enumerate(profile, start=1):
-        for v in range(layer_start(shape, depth), layer_start(shape, depth) + layer_size(shape, depth)):
-            expected[v] = per_vertex
-    return expected
-
-
 def cmd_verify(args) -> int:
     shape = TreeShape(args.k)
     prop = args.property
@@ -238,9 +230,12 @@ def cmd_verify(args) -> int:
         limit = args.samples if args.samples is not None else 100
         for n in range(1, limit + 1):
             checks += 1
-            simulated = unlabeled_simulate(shape, n)
-            expected = _expected_counts(shape, unlabeled_profile(shape, n))
-            if simulated != expected:
+            expected = {
+                v: per_vertex
+                for depth, per_vertex in enumerate(unlabeled_profile(shape, n), start=1)
+                for v in range(layer_start(shape, depth), layer_start(shape, depth + 1))
+            }
+            if unlabeled_simulate(shape, n) != expected:
                 failures.append({"property": prop, "holds": False, "chips": n})
     else:  # pragma: no cover - argparse restricts choices
         raise UsageError(f"unknown property {prop!r}")
@@ -302,6 +297,7 @@ def _int_list(text: str) -> tuple[int, ...]:
 
 
 def cmd_construct(args) -> int:
+    check_state_size(TreeShape(args.k), args.ell)
     config = replay_lower_bound_construction(
         args.k, args.ell, args.i, _int_list(args.c), _int_list(args.cprime)
     )

@@ -20,6 +20,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
+from operator import itemgetter
 
 from .tree import TreeShape, VertexId, layer, layer_start
 
@@ -398,35 +399,52 @@ def endgame_start(shape: TreeShape, ell: int, config: Configuration) -> Configur
     return config
 
 
-def wave_order(shape: TreeShape, ell: int) -> list[tuple[int, VertexId, tuple[VertexId, ...]]]:
-    """The wave schedule of an endgame start for ell layers: (wave, vertex, destinations) in firing order.
+class WaveNetwork:
+    """The wave schedule of an endgame start for ell layers, compiled into a fixed network on wires.
 
     Wave w fires vertices 0..N-1 once each in index order, where N counts
-    the vertices of the top (ell - w) layers.  Every scheduled vertex fires
-    all k+1 chips it holds when its turn comes.
+    the vertices of the top (ell - w) layers, and every scheduled vertex
+    fires all k+1 chips it holds.  So the schedule alone fixes which wires
+    feed each fire.  Wires 0.. carry the start piles in vertex order; fire i
+    sorts its k+1 input wires onto the wires `first + i*(k+1)` onward, one
+    per destination.  A wire may carry labels or ranks: both sort alike.
     """
-    return [
-        (wave, v, destinations(shape.k, v))
-        for wave in range(1, ell)
-        for v in range(layer_start(shape, ell - wave + 1))
-    ]
 
+    def __init__(self, shape: TreeShape, ell: int) -> None:
+        k = shape.k
+        holding: dict[VertexId, list[int]] = {}
+        width = 0
+        for v in range(layer_start(shape, ell)):
+            holding[v] = list(range(width, width + (k + 1 if v == 0 else k)))
+            width += len(holding[v])
+        self.k, self.first, self.vertices, self.gathers = k, width, [], []
+        for wave in range(1, ell):
+            for v in range(layer_start(shape, ell - wave + 1)):
+                wires = holding.pop(v, [])
+                if len(wires) != k + 1:
+                    raise WaveError(f"vertex {v} not ready in wave {wave} (holds {len(wires)} chips)")
+                self.vertices.append(v)
+                self.gathers.append(itemgetter(*wires))
+                for d in destinations(k, v):
+                    holding.setdefault(d, []).append(width)
+                    width += 1
+        self.final_vertices = [v for v, wires in holding.items() for _ in wires]
+        self.final_wires = itemgetter(*(w for wires in holding.values() for w in wires))
 
-def fire_waves(shape: TreeShape, ell: int, piles: dict[VertexId, list[int]]) -> list[tuple[VertexId, tuple[int, ...]]]:
-    """Fire an endgame start for ell layers in waves, mutating `piles`; returns the moves.
+    def run(self, wires: list) -> tuple:
+        """The chips an endgame start ends with on `final_vertices`, in that order.
 
-    The schedule is `wave_order`.  Every scheduled vertex must hold exactly
-    k+1 chips when its turn comes.
-    """
-    k = shape.k
-    moves = []
-    for wave, v, _ in wave_order(shape, ell):
-        pile = tuple(piles.get(v, ()))
-        if len(pile) != k + 1:
-            raise WaveError(f"vertex {v} not ready in wave {wave} (holds {len(pile)} chips)")
-        _apply(k, piles, v, pile)
-        moves.append((v, pile))
-    return moves
+        `wires` holds the start's chips in vertex order; it is extended in place.
+        """
+        for gather in self.gathers:
+            wires += sorted(gather(wires))
+        return self.final_wires(wires)
+
+    def moves(self, wires: list) -> list[tuple[VertexId, tuple]]:
+        """The fires of a run, read off the `wires` it extended: (vertex, its k+1 chips ascending)."""
+        k1 = self.k + 1
+        starts = range(self.first, len(wires), k1)
+        return [(v, tuple(wires[w : w + k1])) for v, w in zip(self.vertices, starts)]
 
 
 def run_waves(config: Configuration) -> Configuration:
@@ -436,9 +454,12 @@ def run_waves(config: Configuration) -> Configuration:
     shape = config.shape
     ell = layer(shape, max(config.occupied())) + 1
     endgame_start(shape, ell, config)
-    piles = _piles_of(config)
-    fire_waves(shape, ell, piles)
-    out = _build(config.k, piles)
+    network = WaveNetwork(shape, ell)
+    final = network.run([c for _, pile in config.chips for c in pile])
+    piles: dict[VertexId, list[int]] = {}
+    for v, c in zip(network.final_vertices, final):
+        piles.setdefault(v, []).append(c)
+    out = Configuration.from_dict(config.k, piles)
     assert is_stable(out)
     return out
 

@@ -36,20 +36,18 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations, compress
 from math import comb
-from operator import itemgetter, lshift
+from operator import lshift
 from typing import IO, Iterator
 
 from .engine import (
     Configuration,
     FiringMove,
+    WaveNetwork,
     _unlabeled_relax,
     destinations,
     endgame_offenders,
-    endgame_start,
-    fire_waves,
     initial_config,
     run_waves,
-    wave_order,
 )
 from .tree import TreeShape, VertexId, layer, layer_start, relative_index
 
@@ -149,41 +147,6 @@ def _with_median(k: int, leavers: tuple[int, ...], pile: list[int]) -> tuple[int
 # search
 
 
-class _WaveNetwork:
-    """`engine.wave_order` for ell layers, compiled into a fixed network on rank wires.
-
-    A wave fire takes every chip its vertex holds, so the schedule alone
-    fixes which wires feed each fire.  Wires 0.. carry the start piles in
-    vertex order; each fire sorts its k+1 input wires onto k+1 new wires,
-    one per destination.
-    """
-
-    def __init__(self, shape: TreeShape, ell: int) -> None:
-        k = shape.k
-        holding: dict[VertexId, list[int]] = {}
-        width = 0
-        for v in range(layer_start(shape, ell)):
-            holding[v] = list(range(width, width + (k + 1 if v == 0 else k)))
-            width += len(holding[v])
-        self.gathers = []
-        for _, v, dests in wave_order(shape, ell):
-            self.gathers.append(itemgetter(*holding.pop(v)))
-            for d in dests:
-                holding.setdefault(d, []).append(width)
-                width += 1
-        self.final_vertices = [v for v, wires in holding.items() for _ in wires]
-        self.final_wires = itemgetter(*(w for wires in holding.values() for w in wires))
-
-    def run(self, wires: list[int]) -> tuple[int, ...]:
-        """The ranks an endgame start ends with on `final_vertices`, in that order.
-
-        `wires` holds the start's ranks in vertex order; it is extended in place.
-        """
-        for gather in self.gathers:
-            wires += sorted(gather(wires))
-        return self.final_wires(wires)
-
-
 # A level maps each chip-count vector (one entry per vertex up to the reach)
 # to the set of states at that depth with those counts.
 Level = dict[tuple[int, ...], set[int]]
@@ -206,7 +169,7 @@ class _Search:
     deltas: dict[VertexId, _FireDeltas] = field(default_factory=dict)
     # The chip count fixes ell for every endgame start, so one network serves
     # the search, and its final-wire tuples name the outcomes one to one.
-    network: _WaveNetwork | None = None
+    network: WaveNetwork | None = None
     outcomes: set[tuple[int, ...]] = field(default_factory=set)
     explored: int = 0
     hits: int = 0
@@ -289,7 +252,7 @@ class _Search:
         self.explored, self.hits, self.seen = explored, hits, seen
         return nxt
 
-    def _group(self, counts: tuple[int, ...], nxt: Level) -> tuple[list, int, _WaveNetwork | None]:
+    def _group(self, counts: tuple[int, ...], nxt: Level) -> tuple[list, int, WaveNetwork | None]:
         """What every state with these chip counts does, worked out once.
 
         Returns the fires, the surplus root selections that each state
@@ -306,7 +269,7 @@ class _Search:
             ell = layer(self.shape, max(occupied)) + 1
             if not endgame_offenders(self.shape, ell, occupied):
                 if self.network is None:
-                    self.network = _WaveNetwork(self.shape, ell)
+                    self.network = WaveNetwork(self.shape, ell)
                 return [], 0, self.network
         fires = []
         surplus = 0
@@ -381,15 +344,18 @@ class EnumerationResult:
             key, move = self.witnesses[key]
             steps.append((key, move))
         shape = TreeShape(self.k)
+        mask = (1 << self.bits) - 1
         trace: list[FiringMove] = []
         for parent, move in reversed(steps):
-            if move is None:  # an endgame collapse: replay the wave schedule on labels
-                piles = {v: list(pile) for v, pile in _decode(parent, self.k, self.labels, self.bits).chips}
-                ell = layer(shape, max(piles)) + 1
-                trace.extend(FiringMove(v, pile) for v, pile in fire_waves(shape, ell, piles))
+            if move is None:  # an endgame collapse: read the wave fires off its rank wires
+                keys = [parent >> (r * self.bits) & mask for r in range(len(self.labels))]
+                network = WaveNetwork(shape, layer(shape, max(keys)) + 1)
+                wires = sorted(range(len(keys)), key=keys.__getitem__)
+                network.run(wires)
+                moves = network.moves(wires)
             else:
-                v, sel = move
-                trace.append(FiringMove(v, tuple(self.labels[r] for r in sel)))
+                moves = [move]
+            trace.extend(FiringMove(v, tuple(self.labels[r] for r in sel)) for v, sel in moves)
         return trace
 
 
@@ -463,16 +429,11 @@ def verify_endgame_confluence(config: Configuration, **kwargs) -> bool:
     Enumerates with the endgame shortcut disabled (using it here would be
     circular) and checks the single survivor against the wave schedule.
     """
-    shape = config.shape
-    deepest = max(layer(shape, v) for v, _ in config.chips) if config.chips else 0
-    endgame_start(shape, deepest + 1, config)
+    expected = run_waves(config)  # also refuses a start without the endgame shape
     result = enumerate_stable(config, endgame_shortcut=False, **kwargs)
     if result.truncated:
         raise EnumerationTruncated("enumeration truncated — confluence undecided")
-    if len(result.stable_keys) != 1:
-        return False
-    (only,) = result.stable_set
-    return only == run_waves(config)
+    return result.stable_set == {expected}
 
 
 def subtree_orderings(

@@ -191,8 +191,13 @@ def test_recursive_bound_needs_all_levels():
 
 def test_binary_layer_factors_frozen():
     assert binary_layer_factor_orderings(4) == 900900
-    assert binary_layer_factor_orderings(4) == zigzag_layer_factor(2, 4)
     assert binary_layer_factor_configs(4) == 69300
+    for ell in range(4, 13):
+        assert binary_layer_factor_orderings(ell) == zigzag_layer_factor(2, ell)
+        # the configs factor spelled out: one chip fewer in each leading subtree
+        parts = [2 ** (ell - 1) - 3, 2 ** (ell - 2) - 3] + [2**i - 1 for i in range(ell - 3, 0, -1)]
+        expected = euler_zigzag(ell) * math.comb(2**ell - 5, ell) * multinomial(2**ell - ell - 5, parts)
+        assert binary_layer_factor_configs(ell) == expected
     with pytest.raises(ValueError):
         binary_layer_factor_configs(3)
 

@@ -113,6 +113,7 @@ def test_enumerate_truncation_exit_code():
         ["verify", "--k", "2", "--ell", "40", "--property", "endgame-confluence"],
         ["verify", "--k", "2", "--ell", "40", "--property", "ballot", "--samples", "1"],
         ["simulate", "--k", "2", "--ell", "40"],
+        ["construct", "--k", "2", "--ell", "40", "--i", "0"],
     ],
 )
 def test_oversized_search_is_refused_before_the_start_is_built(argv):

@@ -4,6 +4,7 @@ import collections
 
 import pytest
 
+from karyfire import engine
 from karyfire.engine import (
     Configuration,
     EndgameShapeError,
@@ -11,6 +12,9 @@ from karyfire.engine import (
     IllegalMoveError,
     ScriptError,
     StepLimitError,
+    WaveError,
+    WaveNetwork,
+    destinations,
     endgame_start,
     fire,
     format_script,
@@ -368,6 +372,27 @@ def test_run_waves_rejects_non_endgame():
     )
     with pytest.raises(EndgameShapeError):
         run_waves(spread)
+
+
+@pytest.mark.parametrize("shape,ell", [(S2, 2), (S2, 4), (S3, 3), (S4, 3)])
+def test_wave_moves_replay_through_the_kernel(shape, ell):
+    """The fires read off a network run are legal moves that reach the outcome."""
+    network = WaveNetwork(shape, ell)
+    for seed in range(3):
+        start = random_endgame_start(shape, ell, seed)
+        wires = [c for _, pile in start.chips for c in pile]
+        network.run(wires)
+        state = start
+        for v, selected in network.moves(wires):
+            state = fire(state, FiringMove(v, selected))
+        assert state == stabilize(start, "lowest")[0]
+
+
+def test_wave_network_checks_readiness_when_compiled(monkeypatch):
+    """A root fire that sent its median to child 1 would overload that child in wave 1."""
+    monkeypatch.setattr(engine, "destinations", lambda k, v: tuple(d or 1 for d in destinations(k, v)))
+    with pytest.raises(WaveError, match=r"^vertex 1 not ready in wave 1 \(holds 4 chips\)$"):
+        WaveNetwork(S2, 3)
 
 
 @pytest.mark.parametrize("shape,ell", [(S2, 3), (S2, 4), (S3, 3)])

@@ -10,7 +10,7 @@ from functools import cache
 import pytest
 
 from karyfire import enumeration
-from karyfire.engine import Configuration, fire, initial_config, legal_moves, random_endgame_start, run_waves
+from karyfire.engine import Configuration, fire, initial_config, legal_moves, random_endgame_start, stabilize
 from karyfire.enumeration import (
     EnumerationTruncated,
     canonical_key,
@@ -128,11 +128,11 @@ def test_random_starts_match_brute_force_search():
 @pytest.mark.parametrize("shape, ell", [(S2, 4), (S2, 5), (S3, 3), (TreeShape(4), 3)])
 def test_endgame_starts_collapse_to_the_wave_outcome(shape, ell):
     """The search collapses an endgame start at once, firing the wave
-    schedule on ranks; the outcome must be what `run_waves` gives on labels."""
+    network on ranks; the outcome must be what the firing kernel reaches."""
     for seed in range(3):
         start = random_endgame_start(shape, ell, seed)
         result = enumerate_stable(start)
-        assert result.stable_set == {run_waves(start)}, (shape.k, ell, seed)
+        assert result.stable_set == {stabilize(start, "lowest")[0]}, (shape.k, ell, seed)
         assert (result.states_explored, result.memo_hits, result.level_widths) == (2, 0, (1,))
 
 
