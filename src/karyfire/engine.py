@@ -18,6 +18,7 @@ import random as _random
 from bisect import insort
 from collections import deque
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 from math import comb
 from operator import itemgetter
@@ -399,6 +400,33 @@ def endgame_start(shape: TreeShape, ell: int, config: Configuration) -> Configur
     return config
 
 
+@cache
+def sorting_kernel(k: int):
+    """The fire loop of every wave network for arity k, generated once per k.
+
+    `kernel(wires, schedule)` fires each row of `schedule` in turn: it reads
+    the k+1 wires the row names, sorts them with an insertion sorting network
+    of compare-exchanges, and appends them to `wires`.  By the 0-1 principle
+    (Knuth, *TAOCP* Vol. 3, 5.3.4) the network sorts every input because it
+    sorts every input of 0s and 1s.
+    """
+    ins = [f"i{j}" for j in range(k + 1)]
+    outs = [f"a{j}" for j in range(k + 1)]
+    lines = [
+        "def kernel(wires, schedule):",
+        f"    for {', '.join(ins)} in schedule:",
+        f"        {', '.join(outs)} = {', '.join(f'wires[{i}]' for i in ins)}",
+    ]
+    for top in range(1, k + 1):
+        for j in range(top, 0, -1):
+            a, b = outs[j - 1], outs[j]
+            lines.append(f"        if {b} < {a}: {a}, {b} = {b}, {a}")
+    lines.append(f"        wires += {', '.join(outs)},")
+    namespace: dict = {}
+    exec("\n".join(lines), namespace)
+    return namespace["kernel"]
+
+
 class WaveNetwork:
     """The wave schedule of an endgame start for ell layers, compiled into a fixed network on wires.
 
@@ -406,8 +434,10 @@ class WaveNetwork:
     the vertices of the top (ell - w) layers, and every scheduled vertex
     fires all k+1 chips it holds.  So the schedule alone fixes which wires
     feed each fire.  Wires 0.. carry the start piles in vertex order; fire i
-    sorts its k+1 input wires onto the wires `first + i*(k+1)` onward, one
-    per destination.  A wire may carry labels or ranks: both sort alike.
+    sorts its k+1 input wires (`schedule[i]`) onto the wires
+    `first + i*(k+1)` onward, one per destination.  A wire may carry labels
+    or ranks: both sort alike.  Every start pile feeds exactly one fire, so
+    the order of the chips within a start pile does not matter.
     """
 
     def __init__(self, shape: TreeShape, ell: int) -> None:
@@ -417,17 +447,18 @@ class WaveNetwork:
         for v in range(layer_start(shape, ell)):
             holding[v] = list(range(width, width + (k + 1 if v == 0 else k)))
             width += len(holding[v])
-        self.k, self.first, self.vertices, self.gathers = k, width, [], []
+        self.k, self.first, self.vertices, self.schedule = k, width, [], []
         for wave in range(1, ell):
             for v in range(layer_start(shape, ell - wave + 1)):
                 wires = holding.pop(v, [])
                 if len(wires) != k + 1:
                     raise WaveError(f"vertex {v} not ready in wave {wave} (holds {len(wires)} chips)")
                 self.vertices.append(v)
-                self.gathers.append(itemgetter(*wires))
+                self.schedule.append(tuple(wires))
                 for d in destinations(k, v):
                     holding.setdefault(d, []).append(width)
                     width += 1
+        self.kernel = sorting_kernel(k)
         self.final_vertices = [v for v, wires in holding.items() for _ in wires]
         self.final_wires = itemgetter(*(w for wires in holding.values() for w in wires))
 
@@ -436,13 +467,17 @@ class WaveNetwork:
 
         `wires` holds the start's chips in vertex order; it is extended in place.
         """
-        for gather in self.gathers:
-            wires += sorted(gather(wires))
+        self.kernel(wires, self.schedule)
         return self.final_wires(wires)
 
     def moves(self, wires: list) -> list[tuple[VertexId, tuple]]:
         """The fires of a run, read off the `wires` it extended: (vertex, its k+1 chips ascending)."""
         k1 = self.k + 1
+        if len(wires) != self.first + len(self.vertices) * k1:
+            raise ValueError(
+                f"{len(wires)} wires are not a run of this network "
+                f"({self.first} start wires and {len(self.vertices)} fires of {k1})"
+            )
         starts = range(self.first, len(wires), k1)
         return [(v, tuple(wires[w : w + k1])) for v, w in zip(self.vertices, starts)]
 

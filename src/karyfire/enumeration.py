@@ -20,9 +20,15 @@ A level is grouped by chip-count vector.  The states of one group share
 which vertices can fire, whether they are stable, whether they have the
 endgame shape and which group each fire leads to, so all of that is worked
 out once per group.  A state is decoded once, into its ranks sorted by
-vertex; every pile is then a fixed slice of that list, and an endgame state
-feeds the list straight into the compiled wave schedule.  A root fire keeps
-its median, so root selections that differ only in the median give one
+vertex; every pile is then a fixed slice of that list.  An endgame-shaped
+state has one outcome, so with the shortcut on it is collapsed when it is
+born: a fixed gather per selection reads its ranks off its parent's list
+straight into the compiled wave schedule, and the search never decodes it.
+Every pile of an endgame state feeds one wave fire, which sorts it, so the
+gather need not keep a pile in order.  The state still joins the next
+level, where it only deduplicates and is counted.  An outcome's witness is
+the first endgame state that collapsed to it.  A root fire keeps its
+median, so root selections that differ only in the median give one
 successor: the search fires each set of shed chips once and counts the
 other selections as memo hits, which leaves every counter as it would be
 with one fire per selection.
@@ -34,9 +40,9 @@ import json
 from bisect import bisect
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations, compress
+from itertools import accumulate, combinations, compress, repeat
 from math import comb
-from operator import lshift
+from operator import itemgetter, lshift
 from typing import IO, Iterator
 
 from .engine import (
@@ -109,9 +115,10 @@ class _FireDeltas(dict):
 
     def __init__(self, k: int, v: VertexId, bits: int) -> None:
         super().__init__()
-        self.steps = [d - v for d in destinations(k, v)]
+        self.dests = list(destinations(k, v))
         if v == 0:
-            del self.steps[k // 2]
+            del self.dests[k // 2]
+        self.steps = [d - v for d in self.dests]
         self.bits = bits
 
     def __missing__(self, sel: tuple[int, ...]) -> int:
@@ -143,6 +150,26 @@ def _with_median(k: int, leavers: tuple[int, ...], pile: list[int]) -> tuple[int
     return (*leavers[:h], median, *leavers[h:])
 
 
+def _births(starts: list[int], v: VertexId, dests: list[VertexId]) -> list[itemgetter]:
+    """One gather per selection at v, in `itertools.combinations` order.
+
+    A selection takes len(dests) chips of the pile at v and sends them,
+    ascending, to `dests`.  Its gather reads the successor's ranks, grouped
+    by vertex, off the parent's ranks sorted by vertex, in which the pile of
+    u is `starts[u]:starts[u+1]`.  Within a vertex the ranks come in any
+    order.
+    """
+    piles = [list(range(lo, hi)) for lo, hi in zip(starts, starts[1:])]
+    gathers = []
+    for picked in combinations(piles[v], len(dests)):
+        after = [list(pile) for pile in piles]
+        after[v] = [w for w in piles[v] if w not in picked]
+        for w, d in zip(picked, dests):
+            after[d].append(w)
+        gathers.append(itemgetter(*(w for pile in after for w in pile)))
+    return gathers
+
+
 # ---------------------------------------------------------------------------
 # search
 
@@ -169,41 +196,52 @@ class _Search:
     deltas: dict[VertexId, _FireDeltas] = field(default_factory=dict)
     # The chip count fixes ell for every endgame start, so one network serves
     # the search, and its final-wire tuples name the outcomes one to one.
+    # They are kept as bytes (about 48 B against 176 B for a tuple at
+    # (2,4)) whenever every rank fits in a byte.
     network: WaveNetwork | None = None
-    outcomes: set[tuple[int, ...]] = field(default_factory=set)
+    outcomes: set[bytes | tuple[int, ...]] = field(default_factory=set)
     explored: int = 0
     hits: int = 0
     seen: int = 1  # distinct states found so far, the start included
     level_widths: list[int] = field(default_factory=list)
     truncated: bool = False
 
+    def __post_init__(self) -> None:
+        self.shifts = [r * self.bits for r in range(self.n_chips)]
+        self.outcome_key = bytes if self.n_chips <= 256 else tuple
+
     def expand(self, level: Level) -> Level:
         """Explore every state of one level and return the next level.
 
         The level is consumed state by state, so its memory can serve the
         next level as it grows.  Stable states go to the stable set.  With
-        the shortcut on, an endgame-shaped state goes straight to its stable
-        outcome.  The search is truncated, and the rest of the level
-        skipped, as soon as a limit is exceeded.
+        the shortcut on, an endgame-shaped state was collapsed to its stable
+        outcome when it was born, so its group is only counted here.  The
+        search is truncated, and the rest of the level skipped, as soon as a
+        limit is exceeded.
         """
         self.level_widths.append(sum(map(len, level.values())))
         k = self.shape.k
         k1 = k + 1
         mask = (1 << self.bits) - 1
         ranks = range(self.n_chips)
-        shifts = [r * self.bits for r in ranks]
-        stable, witnesses, outcomes = self.stable, self.witnesses, self.outcomes
+        shifts = self.shifts
+        stable, witnesses, collapse = self.stable, self.witnesses, self.collapse
         max_states, max_stable = self.max_states, self.max_stable
         explored, hits, seen = self.explored, self.hits, self.seen
         nxt: Level = {}
-        while level:
+        while level and not self.truncated:
             counts, states = level.popitem()
+            if self.endgame(counts):
+                explored += len(states)
+                self.truncated = seen > max_states or len(stable) > max_stable
+                continue
             states = list(states)  # a set keeps its table while popped; a list shrinks
-            fires, surplus, network = self._group(counts, nxt)
+            fires, surplus = self._group(counts, nxt)
             while states:
                 state = states.pop()
                 explored += 1
-                if not (fires or network):
+                if not fires:
                     if state in stable:  # first reached as the outcome of an endgame collapse
                         explored -= 1
                         hits += 1
@@ -213,80 +251,104 @@ class _Search:
                 else:
                     keys = [state >> s & mask for s in shifts]
                     wires = sorted(ranks, key=keys.__getitem__)
-                    if network:
-                        final = network.run(wires)
-                        if final in outcomes:
-                            hits += 1
+                    hits += surplus
+                    for v, lo, hi, shed, bucket, fire, births in fires:
+                        if v:
+                            sels = combinations(wires[lo:hi], k1)
                         else:
-                            # The outcome lies a fixed number of wave fires
-                            # deeper than this level, so no level popped so far
-                            # can have put it in the stable set.
-                            outcomes.add(final)
-                            out = sum(map(lshift, network.final_vertices, map(shifts.__getitem__, final)))
-                            stable.add(out)
-                            explored += 1
+                            sels = compress(combinations(wires[:hi], k), shed)
+                        for sel, birth in zip(sels, births):
+                            succ = state + fire[sel]
+                            if succ in bucket:
+                                hits += 1
+                                continue
+                            bucket.add(succ)
                             seen += 1
                             if witnesses is not None:
-                                witnesses[out] = (state, None)
-                    else:
-                        hits += surplus
-                        for v, lo, hi, shed, bucket, fire in fires:
-                            if v:
-                                sels = combinations(wires[lo:hi], k1)
-                            else:
-                                sels = compress(combinations(wires[:hi], k), shed)
-                            for sel in sels:
-                                succ = state + fire[sel]
-                                if succ in bucket:
-                                    hits += 1
-                                else:
-                                    bucket.add(succ)
+                                witnesses[succ] = (state, (v, sel if v else _with_median(k, sel, wires[:hi])))
+                            if birth:
+                                if collapse(list(birth(wires)), succ):
+                                    explored += 1
                                     seen += 1
-                                    if witnesses is not None:
-                                        witnesses[succ] = (state, (v, sel if v else _with_median(k, sel, wires[:hi])))
+                                    # one parent can find many outcomes
+                                    if seen > max_states or len(stable) > max_stable:
+                                        break
+                                else:
+                                    hits += 1
+                        else:
+                            continue
+                        break  # out of the fires too
                 if seen > max_states or len(stable) > max_stable:
                     self.truncated = True
                     break
-            if self.truncated:
-                break
         self.explored, self.hits, self.seen = explored, hits, seen
         return nxt
 
-    def _group(self, counts: tuple[int, ...], nxt: Level) -> tuple[list, int, WaveNetwork | None]:
-        """What every state with these chip counts does, worked out once.
+    def endgame(self, counts: tuple[int, ...]) -> WaveNetwork | None:
+        """The wave network if the shortcut is on and the counts have the endgame shape."""
+        if not self.endgame_shortcut or counts[0] != self.shape.k + 1:
+            return None
+        occupied = {v: c for v, c in enumerate(counts) if c}
+        ell = layer(self.shape, max(occupied)) + 1
+        if endgame_offenders(self.shape, ell, occupied):
+            return None
+        if self.network is None:
+            self.network = WaveNetwork(self.shape, ell)
+        return self.network
 
-        Returns the fires, the surplus root selections that each state
-        counts as memo hits, and the wave network if the shortcut is on and
-        the counts have the endgame shape.  A fire is (vertex, the slice of
-        its pile in the ranks sorted by vertex, the `_root_leavers` flags at
-        the root, the next-level set it feeds, its deltas).  Stable counts
-        give neither fires nor a network.
+    def collapse(self, wires: list[int], state: int) -> bool:
+        """Fire an endgame state, given as its ranks grouped by vertex, to its
+        stable outcome; record the outcome and say whether it is new.
+
+        An outcome lies a fixed number of wave fires deeper than any endgame
+        state, so no level popped so far can have put it in the stable set.
+        """
+        final = self.network.run(wires)
+        key = self.outcome_key(final)
+        if key in self.outcomes:
+            return False
+        self.outcomes.add(key)
+        out = sum(map(lshift, self.network.final_vertices, map(self.shifts.__getitem__, final)))
+        self.stable.add(out)
+        if self.witnesses is not None:
+            self.witnesses[out] = (state, None)
+        return True
+
+    def _group(self, counts: tuple[int, ...], nxt: Level) -> tuple[list, int]:
+        """What every state with these non-endgame chip counts does, worked out once.
+
+        Returns the fires and the surplus root selections that each state
+        counts as memo hits.  A fire is (vertex, the slice of its pile in the
+        ranks sorted by vertex, the `_root_leavers` flags at the root, the
+        next-level set it feeds, its deltas, its births).  The births say,
+        per selection, how to collapse a new successor: when the fire leads
+        to the endgame shape, each is a gather of the successor's ranks
+        grouped by vertex off the parent's ranks sorted by vertex; otherwise
+        each is None.  Stable counts give no fires.
         """
         k = self.shape.k
-        fireable = [v for v, c in enumerate(counts) if c > k]
-        if self.endgame_shortcut and fireable == [0] and counts[0] == k + 1:
-            occupied = {v: c for v, c in enumerate(counts) if c}
-            ell = layer(self.shape, max(occupied)) + 1
-            if not endgame_offenders(self.shape, ell, occupied):
-                if self.network is None:
-                    self.network = WaveNetwork(self.shape, ell)
-                return [], 0, self.network
+        starts = list(accumulate(counts, initial=0))
         fires = []
         surplus = 0
-        for v in fireable:
+        for v in (v for v, c in enumerate(counts) if c > k):
             after = list(counts)
             after[v] -= k + 1
             for d in destinations(k, v):
                 after[d] += 1
+            after = tuple(after)
             shed = None
             if v == 0:
                 shed, surplus = _root_leavers(k, counts[0])
             fire = self.deltas.get(v)
             if fire is None:
                 fire = self.deltas[v] = _FireDeltas(k, v, self.bits)
-            lo = sum(counts[:v])
-            fires.append((v, lo, lo + counts[v], shed, nxt.setdefault(tuple(after), set()), fire))
-        return fires, surplus, None
+            births = repeat(None)
+            if self.endgame(after):
+                births = _births(starts, v, fire.dests)
+                if v == 0:
+                    births = list(compress(births, shed))
+            fires.append((v, starts[v], starts[v + 1], shed, nxt.setdefault(after, set()), fire, births))
+        return fires, surplus
 
 
 @dataclass
@@ -384,7 +446,13 @@ def enumerate_stable(
     counts = [0] * (reach + 1)
     for v, pile in config.chips:
         counts[v] = len(pile)
-    level = {tuple(counts): {start}}
+    counts = tuple(counts)
+    if search.endgame(counts):  # the one endgame state not born of a fire
+        rank_of = {c: r for r, c in enumerate(labels)}
+        search.collapse([rank_of[c] for _, pile in config.chips for c in pile], start)
+        search.explored += 1  # its outcome, the first
+        search.seen += 1
+    level = {counts: {start}}
     while level and not search.truncated:
         level = search.expand(level)
 

@@ -1,6 +1,7 @@
 """Firing kernel, stabilization policies, the unlabeled oracle, and waves."""
 
 import collections
+from itertools import product
 
 import pytest
 
@@ -24,6 +25,7 @@ from karyfire.engine import (
     parse_script,
     random_endgame_start,
     run_waves,
+    sorting_kernel,
     stabilize,
     unlabeled_fire_counts,
     unlabeled_profile,
@@ -395,7 +397,30 @@ def test_wave_network_checks_readiness_when_compiled(monkeypatch):
         WaveNetwork(S2, 3)
 
 
-@pytest.mark.parametrize("shape,ell", [(S2, 3), (S2, 4), (S3, 3)])
+def test_wave_moves_refuse_wires_that_were_not_run():
+    network = WaveNetwork(S2, 3)
+    wires = [c for _, pile in random_endgame_start(S2, 3, 0).chips for c in pile]
+    with pytest.raises(ValueError, match=r"^7 wires are not a run of this network \(7 start wires and 4 fires of 3\)$"):
+        network.moves(wires)
+    network.run(wires)
+    assert [v for v, _ in network.moves(wires)] == network.vertices == [0, 1, 2, 0]
+    with pytest.raises(ValueError, match="not a run"):
+        network.moves(wires + [8])
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_sorting_kernel_sorts_every_zero_one_input(k):
+    """By the 0-1 principle this shows that the compare-exchange network sorts any input."""
+    kernel = sorting_kernel(k)
+    for row in product((0, 1), repeat=k + 1):
+        wires = list(row)
+        kernel(wires, [tuple(range(k + 1))])
+        assert wires[k + 1 :] == sorted(row), row
+
+
+@pytest.mark.parametrize(
+    "shape,ell", [(S2, 3), (S2, 4), (S3, 3), (TreeShape(5), 3), (TreeShape(6), 2), (TreeShape(7), 2)]
+)
 def test_waves_match_any_other_order(shape, ell):
     for seed in range(4):
         start = random_endgame_start(shape, ell, seed)

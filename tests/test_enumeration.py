@@ -128,12 +128,49 @@ def test_random_starts_match_brute_force_search():
 @pytest.mark.parametrize("shape, ell", [(S2, 4), (S2, 5), (S3, 3), (TreeShape(4), 3)])
 def test_endgame_starts_collapse_to_the_wave_outcome(shape, ell):
     """The search collapses an endgame start at once, firing the wave
-    network on ranks; the outcome must be what the firing kernel reaches."""
+    network on ranks; the outcome must be what the firing kernel reaches,
+    and its witness must replay there."""
     for seed in range(3):
         start = random_endgame_start(shape, ell, seed)
-        result = enumerate_stable(start)
-        assert result.stable_set == {stabilize(start, "lowest")[0]}, (shape.k, ell, seed)
+        result = enumerate_stable(start, record_witnesses=True)
+        (outcome,) = result.stable_set
+        assert outcome == stabilize(start, "lowest")[0], (shape.k, ell, seed)
         assert (result.states_explored, result.memo_hits, result.level_widths) == (2, 0, (1,))
+        state = start
+        for move in result.witness_trace(outcome):
+            state = fire(state, move)
+        assert state == outcome
+
+
+def test_endgame_start_with_more_ranks_than_a_byte_holds():
+    """Outcomes are keyed by bytes only while every rank fits in one; an
+    endgame start of 273 chips collapses through tuple keys instead."""
+    start = random_endgame_start(TreeShape(16), 3, 0)
+    assert start.n_chips == 273
+    result = enumerate_stable(start)
+    assert result.stable_set == {stabilize(start, "lowest")[0]}
+
+
+@pytest.mark.parametrize("k, outcomes", [(4, 24), (5, 74)])
+def test_endgame_successors_collapse_when_born(k, outcomes):
+    """A start one root fire before the endgame shape: 2k+1 chips on the
+    root and k-1 on each child, dealt in label order.  Every successor is
+    born with the endgame shape and collapses at once."""
+    chips = {0: range(1, 2 * k + 2)}
+    for j in range(1, k + 1):
+        first = 2 * k + 2 + (j - 1) * (k - 1)
+        chips[j] = range(first, first + k - 1)
+    start = Configuration.from_dict(k, chips)
+    born = enumerate_stable(start, record_witnesses=True)
+    expanded = enumerate_stable(start, endgame_shortcut=False)
+    assert born.stable_set == expanded.stable_set
+    assert len(born.stable_keys) == outcomes
+    assert len(born.level_widths) == 2
+    for target in born.stable_set:
+        state = start
+        for move in born.witness_trace(target):
+            state = fire(state, move)
+        assert state == target
 
 
 @pytest.mark.parametrize("shortcut, counters", [(True, (19475, 220167)), (False, (27903, 226363))])
@@ -238,9 +275,31 @@ def test_truncation_by_states():
         count_stable(S2, 3, max_states=5)
 
 
+@pytest.mark.parametrize("max_states", [1, 2, 100, 1000, 2500, 5000, 7500, 10000, 15000, 19474])
+def test_truncated_searches_find_part_of_the_stable_set(max_states):
+    """Any state budget below the 19,475 states of the (3,3) search truncates
+    it, wherever the cut falls, and leaves only true stable configurations."""
+    result = enumerate_stable(initial_config(S3, 3), max_states=max_states)
+    assert result.truncated
+    assert result.stable_keys <= three_layers(S3, True, False).stable_keys
+    with pytest.raises(EnumerationTruncated):
+        count_stable(S3, 3, max_states=max_states)
+
+
 def test_truncation_by_stable_count():
     result = enumerate_stable(initial_config(S2, 3), max_stable=2)
     assert result.truncated
+    assert len(result.stable_keys) == 3
+
+
+@pytest.mark.parametrize("shape, max_stable", [(S2, 0), (S2, 5), (S3, 0), (S3, 2), (S3, 50), (S3, 500)])
+def test_stable_limit_holds_when_one_parent_collapses_into_many(shape, max_stable):
+    """The stable count is checked after every new outcome, so a search
+    stops one past the limit even when one parent's successors collapse
+    to many outcomes."""
+    result = enumerate_stable(initial_config(shape, 3), max_stable=max_stable)
+    assert result.truncated
+    assert len(result.stable_keys) == max_stable + 1
 
 
 def test_truncated_results_refuse_projection():
