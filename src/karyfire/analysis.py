@@ -23,7 +23,7 @@ from .engine import (
     is_stable,
     stabilize,
 )
-from .tree import TreeShape, VertexId, child_index, embed_vertex, is_left_child, is_right_child, parent
+from .tree import TreeShape, VertexId, embed_vertex, is_left_child, is_right_child, parent
 
 
 class ConstructionError(EngineError):
@@ -61,10 +61,20 @@ class FlattenedPermutation:
 # property checks
 
 
-def _is_under(shape: TreeShape, top: VertexId, v: VertexId) -> bool:
-    while v > top:
-        v = parent(shape, v)
-    return v == top
+def _subtree_chips(config: Configuration) -> dict[VertexId, list[int]]:
+    """Ascending chips under each vertex that has an occupied descendant
+    (itself included).  A child's index exceeds its parent's, so one sweep
+    from the deepest vertex up hands every finished subtree to its parent."""
+    k = config.k
+    under = {v: list(pile) for v, pile in config.chips}
+    for v in list(under):
+        while v and (v := (v - 1) // k) not in under:
+            under[v] = []
+    for v in sorted(under, reverse=True):
+        under[v].sort()
+        if v:
+            under[(v - 1) // k] += under[v]
+    return under
 
 
 def _bottom_straight(shape: TreeShape, piles: dict, v: VertexId, slot: int) -> VertexId:
@@ -78,15 +88,14 @@ def check_minmax_descendants(config: Configuration) -> PropertyVerdict:
     left descendant, the largest at the bottom straight right descendant."""
     shape = config.shape
     piles = config.as_dict()
+    under = _subtree_chips(config)
     witnesses = []
     for v in piles:
-        chips = [c for u, pile in piles.items() if _is_under(shape, v, u) for c in pile]
-        low = _bottom_straight(shape, piles, v, 1)
-        high = _bottom_straight(shape, piles, v, shape.k)
-        if min(chips) not in piles[low]:
-            witnesses.append((v, min(chips)))
-        if max(chips) not in piles[high]:
-            witnesses.append((v, max(chips)))
+        low, high = under[v][0], under[v][-1]
+        if low not in piles[_bottom_straight(shape, piles, v, 1)]:
+            witnesses.append((v, low))
+        if high not in piles[_bottom_straight(shape, piles, v, shape.k)]:
+            witnesses.append((v, high))
     return PropertyVerdict("minmax_descendants", not witnesses, tuple(witnesses))
 
 
@@ -137,22 +146,16 @@ def check_ballot(config: Configuration) -> PropertyVerdict:
     """Rank domination between sibling subtrees: at every vertex, the i-th
     smallest chip under a child precedes the i-th smallest under any child
     further right, for every rank both subtrees reach."""
-    shape = config.shape
-    buckets: dict[tuple[VertexId, int], list[int]] = {}
-    for u, pile in config.chips:
-        w = u
-        while w > 0:
-            p = parent(shape, w)
-            buckets.setdefault((p, child_index(shape, w)), []).extend(pile)
-            w = p
+    k = config.k
+    under = _subtree_chips(config)
     witnesses = []
-    for v in sorted({v for v, _ in buckets}):
-        subs = [sorted(buckets.get((v, slot), [])) for slot in range(1, shape.k + 1)]
-        for a in range(shape.k):
-            for b in range(a + 1, shape.k):
-                for i in range(min(len(subs[a]), len(subs[b]))):
-                    if subs[a][i] >= subs[b][i]:
-                        witnesses.append((v, subs[a][i]))
+    for v in sorted(under):
+        subs = [under.get(k * v + slot, ()) for slot in range(1, k + 1)]
+        for a in range(k):
+            for b in range(a + 1, k):
+                for low, high in zip(subs[a], subs[b]):
+                    if low >= high:
+                        witnesses.append((v, low))
     return PropertyVerdict("ballot", not witnesses, tuple(witnesses))
 
 
@@ -169,67 +172,44 @@ def flatten(config: Configuration, rule: str = "inorder") -> FlattenedPermutatio
     """
     if rule not in ("inorder", "children_first"):
         raise ValueError(f"unknown flattening rule {rule!r}")
-    shape = config.shape
     piles = config.as_dict()
     for v, pile in piles.items():
         if len(pile) > 1:
             raise ValueError(f"vertex with multiple chips: {v} holds {list(pile)}")
-    live: set[VertexId] = set()
-    for v in piles:
-        while v not in live:
-            live.add(v)
-            if v == 0:
-                break
-            v = parent(shape, v)
-    out: list[int] = []
+    k = config.k
+    up = k // 2 if rule == "inorder" else k  # slots above this read after the vertex
 
-    def walk(v: VertexId) -> None:
-        kids = [c for c in (shape.k * v + j for j in range(1, shape.k + 1)) if c in live]
-        if rule == "children_first":
-            for c in kids:
-                walk(c)
-            out.extend(piles.get(v, ()))
-            return
-        half = shape.k * v + shape.k // 2
-        for c in kids:
-            if c <= half:
-                walk(c)
-        out.extend(piles.get(v, ()))
-        for c in kids:
-            if c > half:
-                walk(c)
+    def position(v: VertexId) -> list[int]:
+        # slot digits from the root down, then the vertex's own place, up + 1,
+        # which the slots above `up` step over
+        digits = [up + 1]
+        while v:
+            slot = (v - 1) % k + 1
+            digits.append(slot + (slot > up))
+            v = (v - 1) // k
+        return digits[::-1]
 
-    if live:
-        walk(0)
-    return FlattenedPermutation(tuple(out), rule)
+    return FlattenedPermutation(tuple(c for v in sorted(piles, key=position) for c in piles[v]), rule)
 
 
 def inversions(perm) -> int:
-    """Exact inversion count by merge counting; accepts a plain sequence too."""
-    seq = list(perm.sequence) if isinstance(perm, FlattenedPermutation) else list(perm)
-
-    def count(arr: list[int]) -> tuple[list[int], int]:
-        if len(arr) <= 1:
-            return arr, 0
-        mid = len(arr) // 2
-        left, a = count(arr[:mid])
-        right, b = count(arr[mid:])
-        merged: list[int] = []
-        inv = a + b
-        i = j = 0
-        while i < len(left) and j < len(right):
-            if left[i] <= right[j]:
-                merged.append(left[i])
-                i += 1
-            else:
-                merged.append(right[j])
-                j += 1
-                inv += len(left) - i
-        merged.extend(left[i:])
-        merged.extend(right[j:])
-        return merged, inv
-
-    return count(seq)[1]
+    """Exact count of strict inversions with a Fenwick tree over value ranks
+    (Fenwick, Softw. Pract. Exp. 1994); accepts a plain sequence too."""
+    seq = perm.sequence if isinstance(perm, FlattenedPermutation) else list(perm)
+    rank = {x: r for r, x in enumerate(sorted(set(seq)), start=1)}
+    tree = [0] * (len(rank) + 1)
+    count = 0
+    for seen, x in enumerate(seq):
+        count += seen  # earlier values, less those not above x
+        i = rank[x]
+        while i:
+            count -= tree[i]
+            i &= i - 1
+        i = rank[x]
+        while i < len(tree):
+            tree[i] += 1
+            i += i & -i
+    return count
 
 
 def max_inversions(result, rule: str = "inorder") -> tuple[int, Configuration]:

@@ -188,6 +188,8 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.samples is not None and args.samples < 1:
+        raise UsageError(f"--samples must be >= 1, got {args.samples}")
     shape = TreeShape(args.k)
     prop = args.property
     failures: list[dict] = []
@@ -203,15 +205,15 @@ def cmd_verify(args) -> int:
         check_state_size(shape, args.ell)
         if args.samples is not None:
             used_seed = args.seed
-            configs = []
-            for idx in range(args.samples):
-                final, _ = stabilize(initial_config(shape, args.ell), "random", seed=args.seed + idx)
-                configs.append(final)
+            configs = (
+                stabilize(initial_config(shape, args.ell), "random", seed=args.seed + idx)[0]
+                for idx in range(args.samples)
+            )
         else:
             result = enumerate_stable(initial_config(shape, args.ell))
             if result.truncated:
                 raise EnumerationTruncated("enumeration truncated — cannot verify the full stable set")
-            configs = list(result.iter_stable())
+            configs = result.iter_stable()
         for config in configs:
             verdict = checker(config)
             checks += 1

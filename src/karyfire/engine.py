@@ -84,21 +84,26 @@ class Configuration:
     def from_dict(cls, k: int, mapping: dict[VertexId, object]) -> "Configuration":
         if not isinstance(k, int) or k < 2:
             raise ValueError(f"arity must be an integer >= 2, got {k!r}")
+        if not isinstance(mapping, dict):
+            raise ValueError(f"chips must map vertices to lists of labels, got {mapping!r}")
         seen: set[int] = set()
         items = []
         for v in sorted(mapping):
-            labels = tuple(sorted(mapping[v]))
+            try:
+                labels = tuple(mapping[v])
+            except TypeError:
+                raise ValueError(f"chips at vertex {v!r} must be a list of labels, got {mapping[v]!r}") from None
             if not labels:
                 continue
-            if not isinstance(v, int) or v < 0:
+            if isinstance(v, bool) or not isinstance(v, int) or v < 0:
                 raise ValueError(f"vertex index must be an integer >= 0, got {v!r}")
             for c in labels:
-                if not isinstance(c, int) or c < 1:
+                if isinstance(c, bool) or not isinstance(c, int) or c < 1:
                     raise ValueError(f"chip labels must be positive integers, got {c!r}")
                 if c in seen:
                     raise ValueError(f"chip {c} appears on more than one vertex")
                 seen.add(c)
-            items.append((v, labels))
+            items.append((v, tuple(sorted(labels))))
         return cls(k, tuple(items))
 
     @property
@@ -129,9 +134,12 @@ class Configuration:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Configuration":
-        if not isinstance(data, dict) or "k" not in data or "chips" not in data:
-            raise ValueError("configuration JSON needs 'k' and 'chips' fields")
-        return cls.from_dict(int(data["k"]), {int(v): labels for v, labels in data["chips"].items()})
+        if not isinstance(data, dict) or "k" not in data or not isinstance(data.get("chips"), dict):
+            raise ValueError("configuration JSON needs a 'k' field and a 'chips' object")
+        chips = {int(v): labels for v, labels in data["chips"].items()}
+        if len(chips) != len(data["chips"]):
+            raise ValueError("configuration JSON names a vertex twice")
+        return cls.from_dict(data["k"], chips)
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))

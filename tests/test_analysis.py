@@ -8,6 +8,7 @@ import pytest
 from karyfire.analysis import (
     ConstructionError,
     FlattenedPermutation,
+    PropertyVerdict,
     check_ballot,
     check_minmax_descendants,
     check_zigzag_relation,
@@ -18,7 +19,15 @@ from karyfire.analysis import (
 )
 from karyfire.engine import Configuration, initial_config, run_waves, stabilize
 from karyfire.enumeration import enumerate_stable
-from karyfire.tree import TreeShape, parent, straight_descendant
+from karyfire.tree import (
+    TreeShape,
+    children,
+    is_left_child,
+    is_right_child,
+    parent,
+    relative_index,
+    straight_descendant,
+)
 
 S2 = TreeShape(2)
 
@@ -135,6 +144,105 @@ def test_properties_on_sampled_four_layer_runs():
         assert check_ballot(final).holds
 
 
+def random_configs(k, seed, count):
+    """Seeded configurations with multi-chip piles, some of them sparse (the
+    occupied vertices need not be closed under taking parents)."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        reach = rng.choice([k + 1, 4 * k, 40 * k])
+        vertices = set(rng.sample(range(reach), rng.randint(1, min(20, reach))))
+        if rng.random() < 0.5:
+            for v in list(vertices):
+                while v:
+                    v = (v - 1) // k
+                    vertices.add(v)
+        sizes = {v: 1 if rng.random() < 0.6 else rng.randint(2, 4) for v in vertices}
+        labels = iter(rng.sample(range(1, 400), sum(sizes.values())))
+        yield Configuration.from_dict(k, {v: [next(labels) for _ in range(n)] for v, n in sizes.items()})
+
+
+def chips_under(config, top):
+    """Ascending chips in the subtree of `top`, found by subtree index."""
+    return sorted(
+        c for v, pile in config.chips if relative_index(config.shape, top, v) is not None for c in pile
+    )
+
+
+def reference_minmax(config):
+    shape, piles = config.shape, config.as_dict()
+    witnesses = []
+    for v in piles:
+        chips = chips_under(config, v)
+        for side, chip in (("left", chips[0]), ("right", chips[-1])):
+            depth = 0
+            while straight_descendant(shape, v, side, depth + 1) in piles:
+                depth += 1
+            if chip not in piles[straight_descendant(shape, v, side, depth)]:
+                witnesses.append((v, chip))
+    return PropertyVerdict("minmax_descendants", not witnesses, tuple(witnesses))
+
+
+def reference_zigzag(config):
+    shape, piles = config.shape, config.as_dict()
+    witnesses = []
+    for s in piles:
+        p = parent(shape, s)
+        if p == 0 or is_left_child(shape, s) == is_left_child(shape, p):
+            continue
+        mirrored = is_right_child(shape, s)
+        kids = [c for c in children(shape, s) if c in piles]
+        if any(len(piles[v]) != 1 for v in [s, *kids]):
+            continue
+        chip = {v: piles[v][0] for v in [s, *kids]}
+        left = [c for c in kids if is_left_child(shape, c)]
+        right = [c for c in kids if is_right_child(shape, c)]
+        ascending, others = (right, left) if mirrored else (left, right)
+        bound = [chip[s]] + [chip[c] for c in others]
+        for a, b in zip(ascending, ascending[1:]):
+            if chip[a] >= chip[b]:
+                witnesses.append((b, chip[b]))
+        for c in ascending:
+            if (chip[c] <= max(bound)) if mirrored else (chip[c] >= min(bound)):
+                witnesses.append((c, chip[c]))
+    return PropertyVerdict("zigzag_relation", not witnesses, tuple(witnesses))
+
+
+def reference_ballot(config):
+    shape = config.shape
+    tops = set()
+    for v, _ in config.chips:
+        while v:
+            v = parent(shape, v)
+            tops.add(v)
+    witnesses = []
+    for v in sorted(tops):
+        subs = [chips_under(config, c) for c in children(shape, v)]
+        for a, b in itertools.combinations(range(shape.k), 2):
+            for i in range(min(len(subs[a]), len(subs[b]))):
+                if subs[a][i] >= subs[b][i]:
+                    witnesses.append((v, subs[a][i]))
+    return PropertyVerdict("ballot", not witnesses, tuple(witnesses))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+@pytest.mark.parametrize(
+    "checker, reference",
+    [
+        (check_minmax_descendants, reference_minmax),
+        (check_zigzag_relation, reference_zigzag),
+        (check_ballot, reference_ballot),
+    ],
+    ids=["minmax", "zigzag", "ballot"],
+)
+def test_witnesses_match_a_definition_level_reference(checker, reference, k):
+    violated = 0
+    for config in random_configs(k, seed=40 + k, count=250):
+        verdict = checker(config)
+        assert verdict == reference(config), config
+        violated += not verdict.holds
+    assert violated >= 10  # the comparison covers witness lists, not only empty ones
+
+
 # ---------------------------------------------------------------------------
 # flattening
 
@@ -179,8 +287,11 @@ def test_flatten_rejects_unknown_rules():
         flatten(WORKED_BINARY_FINAL, "preorder")
 
 
-def reference_inorder(config):
-    """Straight recursive in-order reading for binary shapes."""
+def reference_reading(config, rule):
+    """Straight recursive reading: left children, the vertex, right children
+    for inorder; every child, then the vertex, for children_first."""
+    shape = config.shape
+    split = shape.k // 2 if rule == "inorder" else shape.k
     piles = config.as_dict()
     live = set()
     for v in piles:
@@ -188,32 +299,38 @@ def reference_inorder(config):
             live.add(v)
             if v == 0:
                 break
-            v = parent(config.shape, v)
+            v = parent(shape, v)
     out = []
 
     def visit(v):
         if v not in live:
             return
-        visit(2 * v + 1)
+        kids = children(shape, v)
+        for c in kids[:split]:
+            visit(c)
         out.extend(piles.get(v, ()))
-        visit(2 * v + 2)
+        for c in kids[split:]:
+            visit(c)
 
     visit(0)
     return tuple(out)
 
 
-def test_inorder_matches_a_direct_recursion():
+@pytest.mark.parametrize("rule", ["inorder", "children_first"])
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_inorder_matches_a_direct_recursion(k, rule):
     rng = random.Random(12)
+    shape = TreeShape(k)
     for _ in range(50):
         vertices = {0}
         while len(vertices) < rng.randint(1, 15):
-            v = rng.randrange(1, 40)
+            v = rng.randrange(1, 20 * k)
             while v not in vertices:
                 vertices.add(v)
-                v = parent(S2, v)
+                v = parent(shape, v)
         chips = rng.sample(range(1, 100), len(vertices))
-        config = Configuration.from_dict(2, {v: [c] for v, c in zip(sorted(vertices), chips)})
-        assert flatten(config).sequence == reference_inorder(config)
+        config = Configuration.from_dict(k, {v: [c] for v, c in zip(sorted(vertices), chips)})
+        assert flatten(config, rule).sequence == reference_reading(config, rule)
 
 
 # ---------------------------------------------------------------------------
@@ -235,9 +352,12 @@ def test_reversed_permutation_maximizes_inversions(n):
 
 def test_inversions_against_quadratic_reference():
     rng = random.Random(99)
-    for _ in range(1000):
+    for trial in range(1000):
         n = rng.randint(0, 100)
-        perm = rng.sample(range(1, 101), n)
+        if trial % 2:
+            perm = rng.sample(range(1, 101), n)
+        else:  # repeated values: only strictly larger earlier values count
+            perm = rng.choices(range(1, rng.randint(1, 12) + 1), k=n)
         slow = sum(
             1 for i, j in itertools.combinations(range(n), 2) if perm[i] > perm[j]
         )

@@ -222,6 +222,19 @@ def test_verify_unlabeled_profile():
     assert "25 checks, all hold" in out
 
 
+@pytest.mark.parametrize(
+    "prop", ["minmax", "zigzag-relation", "ballot", "endgame-confluence", "unlabeled-profile"]
+)
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_verify_refuses_fewer_than_one_sample(prop, samples):
+    code, out, err = run_cli(
+        ["verify", "--k", "2", "--ell", "3", "--property", prop, "--samples", samples]
+    )
+    assert code == 2
+    assert out == ""
+    assert "--samples must be >= 1" in err
+
+
 def test_verify_json_payload():
     code, out, _ = run_cli(["verify", "--k", "2", "--ell", "3", "--property", "ballot", "--json"])
     assert code == 0
@@ -248,6 +261,23 @@ def test_flatten_file(tmp_path):
     assert payload["sequence"] == [1, 5, 2, 4, 7, 6, 3]
     assert payload["inversions"] == 7
     assert payload["rule"] == "children_first"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"k": 2, "chips": {"0": 5}}',
+        '{"k": 2, "chips": [1]}',
+        '{"k": 2, "chips": {"0": [true], "1": [2]}}',
+    ],
+)
+def test_flatten_refuses_malformed_chips(tmp_path, text):
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    code, out, err = run_cli(["flatten", "--config", str(config)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_flatten_missing_file():

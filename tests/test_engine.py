@@ -108,6 +108,30 @@ def test_from_dict_rejects_duplicate_chips():
         Configuration.from_dict(2, {0: [1, 2], 1: [2]})
 
 
+@pytest.mark.parametrize(
+    "chips", [{0: 5}, [1], {0: [True], 1: [2]}, {0: ["a", 2]}, {True: [1]}]
+)
+def test_from_dict_rejects_malformed_chips(chips):
+    with pytest.raises(ValueError):
+        Configuration.from_dict(2, chips)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"k": 2, "chips": {"0": 5}},
+        {"k": 2, "chips": [1]},
+        {"k": 2, "chips": {"0": [True], "1": [2]}},
+        {"k": None, "chips": {"0": [1]}},
+        {"k": 2.9, "chips": {"0": [1]}},
+        {"k": 2, "chips": {"0": [1], "00": [2]}},
+    ],
+)
+def test_from_json_dict_rejects_malformed_chips(data):
+    with pytest.raises(ValueError):
+        Configuration.from_json_dict(data)
+
+
 def test_configuration_str():
     cfg = Configuration.from_dict(2, {0: [1, 2, 3, 4, 6], 1: [5], 2: [7]})
     assert str(cfg) == "{0:[1,2,3,4,6], 1:[5], 2:[7]}"

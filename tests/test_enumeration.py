@@ -10,7 +10,15 @@ from functools import cache
 import pytest
 
 from karyfire import enumeration
-from karyfire.engine import Configuration, fire, initial_config, legal_moves, random_endgame_start, stabilize
+from karyfire.engine import (
+    Configuration,
+    fire,
+    initial_config,
+    legal_moves,
+    random_endgame_start,
+    run_waves,
+    stabilize,
+)
 from karyfire.enumeration import (
     EnumerationTruncated,
     canonical_key,
@@ -149,6 +157,21 @@ def test_endgame_start_with_more_ranks_than_a_byte_holds():
     assert start.n_chips == 273
     result = enumerate_stable(start)
     assert result.stable_set == {stabilize(start, "lowest")[0]}
+
+
+@pytest.mark.parametrize("ell, n_chips", [(8, 255), (9, 511)])
+def test_deep_binary_endgame_starts_on_both_outcome_keys(ell, n_chips):
+    """255 chips key outcomes on bytes, 511 on tuples; either way the
+    outcome is the wave outcome and its witness replays through `fire`."""
+    start = random_endgame_start(S2, ell, 7)
+    assert start.n_chips == n_chips
+    result = enumerate_stable(start, record_witnesses=True)
+    assert result.stable_set == {run_waves(start)}
+    (outcome,) = result.stable_set
+    state = start
+    for move in result.witness_trace(outcome):
+        state = fire(state, move)
+    assert state == outcome
 
 
 @pytest.mark.parametrize("k, outcomes", [(4, 24), (5, 74)])
