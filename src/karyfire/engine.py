@@ -15,10 +15,12 @@ from __future__ import annotations
 
 import json
 import random as _random
+import sys
+from array import array
 from bisect import insort
 from collections import deque
 from dataclasses import dataclass
-from functools import cache
+from functools import cached_property
 from itertools import combinations
 from math import comb
 from operator import itemgetter
@@ -142,6 +144,11 @@ class Configuration:
         return cls.from_dict(data["k"], chips)
 
     def to_json(self) -> str:
+        """Canonical compact JSON, rendered once per instance."""
+        return self._json
+
+    @cached_property
+    def _json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
 
     @classmethod
@@ -408,31 +415,17 @@ def endgame_start(shape: TreeShape, ell: int, config: Configuration) -> Configur
     return config
 
 
-@cache
-def sorting_kernel(k: int):
-    """The fire loop of every wave network for arity k, generated once per k.
+# Array typecodes of 1-, 2- and 4-byte items, the lanes of a batched wave run.
+_LANE_CODES = {array(code).itemsize: code for code in "LIHB"}
 
-    `kernel(wires, schedule)` fires each row of `schedule` in turn: it reads
-    the k+1 wires the row names, sorts them with an insertion sorting network
-    of compare-exchanges, and appends them to `wires`.  By the 0-1 principle
-    (Knuth, *TAOCP* Vol. 3, 5.3.4) the network sorts every input because it
-    sorts every input of 0s and 1s.
-    """
-    ins = [f"i{j}" for j in range(k + 1)]
-    outs = [f"a{j}" for j in range(k + 1)]
-    lines = [
-        "def kernel(wires, schedule):",
-        f"    for {', '.join(ins)} in schedule:",
-        f"        {', '.join(outs)} = {', '.join(f'wires[{i}]' for i in ins)}",
-    ]
-    for top in range(1, k + 1):
-        for j in range(top, 0, -1):
-            a, b = outs[j - 1], outs[j]
-            lines.append(f"        if {b} < {a}: {a}, {b} = {b}, {a}")
-    lines.append(f"        wires += {', '.join(outs)},")
-    namespace: dict = {}
-    exec("\n".join(lines), namespace)
-    return namespace["kernel"]
+
+def lane_code(top: int) -> str:
+    """The array typecode of the narrowest lane (8, 16 or 32 bits) that holds
+    every value up to `top` and still leaves its top bit clear as a guard."""
+    for size in (1, 2, 4):
+        if top < 1 << (8 * size - 1):
+            return _LANE_CODES[size]
+    raise ValueError(f"value {top} does not fit below the guard bit of a 32-bit lane")
 
 
 class WaveNetwork:
@@ -446,6 +439,17 @@ class WaveNetwork:
     `first + i*(k+1)` onward, one per destination.  A wire may carry labels
     or ranks: both sort alike.  Every start pile feeds exactly one fire, so
     the order of the chips within a start pile does not matter.
+
+    A fire sorts with an insertion network of compare-exchanges
+    (`exchanges`).  The network treats every input alike, so it can run
+    many starts at once: each wire is one int that holds one value per
+    start in lanes of equal width (SIMD within a register; Lamport,
+    *Multiple byte processing with full-word instructions*, 1975).  Every value
+    leaves the top bit of its lane clear.  A compare-exchange sets that
+    guard bit, subtracts, and reads off the guard which lanes are out of
+    order; the guard absorbs each lane's borrow, so no lane disturbs its
+    neighbour.  By the 0-1 principle (Knuth, *TAOCP* Vol. 3, 5.3.4) the
+    network sorts every input because it sorts every input of 0s and 1s.
     """
 
     def __init__(self, shape: TreeShape, ell: int) -> None:
@@ -466,17 +470,61 @@ class WaveNetwork:
                 for d in destinations(k, v):
                     holding.setdefault(d, []).append(width)
                     width += 1
-        self.kernel = sorting_kernel(k)
+        self.exchanges = [(j - 1, j) for top in range(1, k + 1) for j in range(top, 0, -1)]
         self.final_vertices = [v for v, wires in holding.items() for _ in wires]
         self.final_wires = itemgetter(*(w for wires in holding.values() for w in wires))
+
+    def _fire(self, wires: list[int], bits: int, lanes: int) -> None:
+        """Extend the start `wires`, each `lanes` lanes of `bits` bits, by every fire of the schedule."""
+        guard = ((1 << bits * lanes) - 1) // ((1 << bits) - 1) << (bits - 1)
+        if any(wire & guard for wire in wires):
+            raise ValueError(f"a start value reaches the guard bit of its {bits}-bit lane")
+        low = bits - 1
+        exchanges = self.exchanges
+        for feed in self.schedule:
+            a = [wires[i] for i in feed]
+            for p, q in exchanges:
+                x, y = a[p], a[q]
+                swap = ((x | guard) - y) & guard  # the guard of each lane where x >= y
+                swap = (x ^ y) & (swap | (swap - (swap >> low)))
+                a[p], a[q] = x ^ swap, y ^ swap
+            wires += a
 
     def run(self, wires: list) -> tuple:
         """The chips an endgame start ends with on `final_vertices`, in that order.
 
-        `wires` holds the start's chips in vertex order; it is extended in place.
+        `wires` holds the start's chips in vertex order; it is extended in
+        place by every wire of the run.  This is the batch kernel of
+        `run_lanes` on one lane, as wide as the largest chip needs plus its
+        guard bit, so a lane is the chip itself.
         """
-        self.kernel(wires, self.schedule)
+        self._fire(wires, max(wires).bit_length() + 1, 1)
         return self.final_wires(wires)
+
+    def run_lanes(self, rows: array) -> array:
+        """Run many endgame starts at once, one per lane.
+
+        `rows` holds the starts back to back, each as its chips in vertex
+        order, in items of 1, 2 or 4 bytes that leave their top bit clear
+        (see `lane_code`).  Returns their final chips in the same layout:
+        one row per start, in `final_vertices` order.
+        """
+        size, code, first = rows.itemsize, rows.typecode, self.first
+        if _LANE_CODES.get(size) != code or len(rows) % first:
+            raise ValueError(
+                f"{len(rows)} items of type {code!r} are not rows of {first} start wires "
+                f"in lanes of type {'/'.join(_LANE_CODES[n] for n in (1, 2, 4))}"
+            )
+        lanes = len(rows) // first
+        view = memoryview(rows)
+        wires = [int.from_bytes(view[j::first], sys.byteorder) for j in range(first)]
+        self._fire(wires, 8 * size, lanes)
+        width = len(self.final_vertices)
+        out = array(code, bytes(width * lanes * size))
+        view = memoryview(out)
+        for j, wire in enumerate(self.final_wires(wires)):
+            view[j::width] = memoryview(wire.to_bytes(lanes * size, sys.byteorder)).cast(code)
+        return out
 
     def moves(self, wires: list) -> list[tuple[VertexId, tuple]]:
         """The fires of a run, read off the `wires` it extended: (vertex, its k+1 chips ascending)."""

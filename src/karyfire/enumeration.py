@@ -21,13 +21,17 @@ which vertices can fire, whether they are stable, whether they have the
 endgame shape and which group each fire leads to, so all of that is worked
 out once per group.  A state is decoded once, into its ranks sorted by
 vertex; every pile is then a fixed slice of that list.  An endgame-shaped
-state has one outcome, so with the shortcut on it is collapsed when it is
-born: a fixed gather per selection reads its ranks off its parent's list
-straight into the compiled wave schedule, and the search never decodes it.
-Every pile of an endgame state feeds one wave fire, which sorts it, so the
-gather need not keep a pile in order.  The state still joins the next
-level, where it only deduplicates and is counted.  An outcome's witness is
-the first endgame state that collapsed to it.  A root fire keeps its
+state has one outcome, so with the shortcut on it is queued when it is
+born: a fixed gather per selection reads its ranks off its parent's list,
+and the search never decodes it.  Every pile of an endgame state feeds one
+wave fire, which sorts it, so the gather need not keep a pile in order.
+The queue is collapsed in batches, each in one lane-parallel run of the
+compiled wave network (`WaveNetwork.run_lanes`): when it holds
+`_BATCH_LANES` states, at the end of every level and for an endgame start.
+The outcomes are deduplicated on their packed final rows in the order
+their states were queued, and an outcome's witness is the first queued
+endgame state that reached it.  The state still joins the next level,
+where it only deduplicates and is counted.  A root fire keeps its
 median, so root selections that differ only in the median give one
 successor: the search fires each set of shed chips once and counts the
 other selections as memo hits, which leaves every counter as it would be
@@ -37,6 +41,7 @@ with one fire per selection.
 from __future__ import annotations
 
 import json
+from array import array
 from bisect import bisect
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -53,6 +58,7 @@ from .engine import (
     destinations,
     endgame_offenders,
     initial_config,
+    lane_code,
     run_waves,
 )
 from .tree import TreeShape, VertexId, layer, layer_start, relative_index
@@ -61,6 +67,11 @@ DEFAULT_MAX_STATES = 10**8
 DEFAULT_MAX_STABLE = 10**7
 
 _VERTEX_LIMIT = 0xFFFF  # a state spends at most 16 bits on each chip's vertex
+# Endgame states collapsed per lane-parallel wave run.  On the (2,4) slice,
+# batches of 1,024 to 4,096 searched within noise of each other, while 64
+# lanes spent about twice as long collapsing; every lane adds its pending
+# ranks and its final row to the peak memory of the search.
+_BATCH_LANES = 1024
 
 
 class EnumerationTruncated(Exception):
@@ -195,11 +206,14 @@ class _Search:
     stable: set[int] = field(default_factory=set)
     deltas: dict[VertexId, _FireDeltas] = field(default_factory=dict)
     # The chip count fixes ell for every endgame start, so one network serves
-    # the search, and its final-wire tuples name the outcomes one to one.
-    # They are kept as bytes (about 48 B against 176 B for a tuple at
-    # (2,4)) whenever every rank fits in a byte.
+    # the search, and its final rows, packed in lanes of `lane`, name the
+    # outcomes one to one.
     network: WaveNetwork | None = None
-    outcomes: set[bytes | tuple[int, ...]] = field(default_factory=set)
+    outcomes: set[bytes] = field(default_factory=set)
+    # Endgame states queued since the last flush: their ranks grouped by
+    # vertex, back to back, and the states themselves.
+    pending: list[int] = field(default_factory=list)
+    born: list[int] = field(default_factory=list)
     explored: int = 0
     hits: int = 0
     seen: int = 1  # distinct states found so far, the start included
@@ -208,7 +222,7 @@ class _Search:
 
     def __post_init__(self) -> None:
         self.shifts = [r * self.bits for r in range(self.n_chips)]
-        self.outcome_key = bytes if self.n_chips <= 256 else tuple
+        self.lane = lane_code(self.n_chips - 1)
 
     def expand(self, level: Level) -> Level:
         """Explore every state of one level and return the next level.
@@ -226,7 +240,7 @@ class _Search:
         mask = (1 << self.bits) - 1
         ranks = range(self.n_chips)
         shifts = self.shifts
-        stable, witnesses, collapse = self.stable, self.witnesses, self.collapse
+        stable, witnesses, pending, born = self.stable, self.witnesses, self.pending, self.born
         max_states, max_stable = self.max_states, self.max_stable
         explored, hits, seen = self.explored, self.hits, self.seen
         nxt: Level = {}
@@ -267,20 +281,27 @@ class _Search:
                             if witnesses is not None:
                                 witnesses[succ] = (state, (v, sel if v else _with_median(k, sel, wires[:hi])))
                             if birth:
-                                if collapse(list(birth(wires)), succ):
-                                    explored += 1
-                                    seen += 1
-                                    # one parent can find many outcomes
+                                pending += birth(wires)
+                                born.append(succ)
+                                if len(born) == _BATCH_LANES:
+                                    new, repeats = self.flush(seen)
+                                    explored += new
+                                    seen += new
+                                    hits += repeats
                                     if seen > max_states or len(stable) > max_stable:
                                         break
-                                else:
-                                    hits += 1
                         else:
                             continue
                         break  # out of the fires too
                 if seen > max_states or len(stable) > max_stable:
                     self.truncated = True
                     break
+        if not self.truncated:
+            new, repeats = self.flush(seen)
+            explored += new
+            seen += new
+            hits += repeats
+            self.truncated = seen > max_states or len(stable) > max_stable
         self.explored, self.hits, self.seen = explored, hits, seen
         return nxt
 
@@ -296,23 +317,43 @@ class _Search:
             self.network = WaveNetwork(self.shape, ell)
         return self.network
 
-    def collapse(self, wires: list[int], state: int) -> bool:
-        """Fire an endgame state, given as its ranks grouped by vertex, to its
-        stable outcome; record the outcome and say whether it is new.
+    def flush(self, seen: int) -> tuple[int, int]:
+        """Collapse the queued endgame states to their stable outcomes in one
+        lane-parallel run of the wave network, and record the new outcomes.
 
-        An outcome lies a fixed number of wave fires deeper than any endgame
-        state, so no level popped so far can have put it in the stable set.
+        The outcomes are deduplicated in the order their states were queued;
+        an outcome's witness is the first queued state that reached it.
+        `seen` is the search's count of distinct states: the flush stops one
+        outcome past either limit, even in the middle of the batch.  Returns
+        the number of new outcomes and the number of repeats.  An outcome
+        lies a fixed number of wave fires deeper than any endgame state, so
+        no level popped so far can have put it in the stable set.
         """
-        final = self.network.run(wires)
-        key = self.outcome_key(final)
-        if key in self.outcomes:
-            return False
-        self.outcomes.add(key)
-        out = sum(map(lshift, self.network.final_vertices, map(self.shifts.__getitem__, final)))
-        self.stable.add(out)
+        born = self.born
+        if not born:
+            return 0, 0
+        # bytes() packs a list of small ints about three times as fast as array()
+        starts = array(self.lane, bytes(self.pending) if self.lane == "B" else self.pending)
+        self.pending.clear()
+        raw = self.network.run_lanes(starts).tobytes()
+        size = len(raw) // len(born)
+        rows = [raw[i : i + size] for i in range(0, len(raw), size)]
+        fresh = [row for row in dict.fromkeys(rows) if row not in self.outcomes]
         if self.witnesses is not None:
-            self.witnesses[out] = (state, None)
-        return True
+            first = dict(zip(reversed(rows), reversed(born)))
+        vertices, shift = self.network.final_vertices, self.shifts.__getitem__
+        new = 0
+        for row in fresh:
+            self.outcomes.add(row)
+            out = sum(map(lshift, vertices, map(shift, memoryview(row).cast(self.lane))))
+            self.stable.add(out)
+            if self.witnesses is not None:
+                self.witnesses[out] = (first[row], None)
+            new += 1
+            if seen + new > self.max_states or len(self.stable) > self.max_stable:
+                break
+        born.clear()
+        return new, len(rows) - len(fresh)
 
     def _group(self, counts: tuple[int, ...], nxt: Level) -> tuple[list, int]:
         """What every state with these non-endgame chip counts does, worked out once.
@@ -362,7 +403,11 @@ class EnumerationResult:
     counted in `states_explored` without joining any level, and a level
     member that a collapse already produced counts as a memo hit.  So the
     widths of a complete run sum to `states_explored` only with the
-    shortcut off.
+    shortcut off.  A truncated run stops after a state or during a flush of
+    queued endgame states, so its partial counters are read at that flush
+    boundary: the outcomes of states queued since the last flush are not
+    counted, and a flush cut by a limit counts all of its repeats as memo
+    hits.  The counters of a complete run do not depend on the batching.
     """
 
     k: int
@@ -382,9 +427,13 @@ class EnumerationResult:
     def stable_set(self) -> frozenset[Configuration]:
         return frozenset(_decode(s, self.k, self.labels, self.bits) for s in self.stable_keys)
 
+    @cached_property
+    def _canonical_order(self) -> tuple[Configuration, ...]:
+        return tuple(sorted(self.stable_set, key=canonical_key))
+
     def iter_stable(self) -> Iterator[Configuration]:
-        """Stable configurations in canonical (serialized) order."""
-        return iter(sorted(self.stable_set, key=canonical_key))
+        """Stable configurations in canonical (serialized) order, sorted once per result."""
+        return iter(self._canonical_order)
 
     def witness_trace(self, config: Configuration) -> list[FiringMove]:
         """A firing sequence from the start configuration to `config`.
@@ -449,9 +498,11 @@ def enumerate_stable(
     counts = tuple(counts)
     if search.endgame(counts):  # the one endgame state not born of a fire
         rank_of = {c: r for r, c in enumerate(labels)}
-        search.collapse([rank_of[c] for _, pile in config.chips for c in pile], start)
-        search.explored += 1  # its outcome, the first
-        search.seen += 1
+        search.pending += (rank_of[c] for _, pile in config.chips for c in pile)
+        search.born.append(start)
+        new, _ = search.flush(search.seen)  # its outcome, the first
+        search.explored += new
+        search.seen += new
     level = {counts: {start}}
     while level and not search.truncated:
         level = search.expand(level)

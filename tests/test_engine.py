@@ -1,6 +1,8 @@
 """Firing kernel, stabilization policies, the unlabeled oracle, and waves."""
 
 import collections
+import random
+from array import array
 from itertools import product
 
 import pytest
@@ -24,8 +26,8 @@ from karyfire.engine import (
     legal_moves,
     parse_script,
     random_endgame_start,
+    lane_code,
     run_waves,
-    sorting_kernel,
     stabilize,
     unlabeled_fire_counts,
     unlabeled_profile,
@@ -434,12 +436,47 @@ def test_wave_moves_refuse_wires_that_were_not_run():
 
 @pytest.mark.parametrize("k", range(2, 9))
 def test_sorting_kernel_sorts_every_zero_one_input(k):
-    """By the 0-1 principle this shows that the compare-exchange network sorts any input."""
-    kernel = sorting_kernel(k)
-    for row in product((0, 1), repeat=k + 1):
-        wires = list(row)
-        kernel(wires, [tuple(range(k + 1))])
-        assert wires[k + 1 :] == sorted(row), row
+    """All 2^(k+1) 0-1 rows run as the lanes of one batch through the single
+    root fire of a two-layer network, which deals its sorted chips out in
+    `final_vertices` order.  By the 0-1 principle this shows that the
+    compare-exchange network sorts any input."""
+    network = WaveNetwork(TreeShape(k), 2)
+    zero_one = list(product((0, 1), repeat=k + 1))
+    out = network.run_lanes(array("B", [bit for row in zero_one for bit in row]))
+    assert [tuple(out[i : i + k + 1]) for i in range(0, len(out), k + 1)] == [tuple(sorted(row)) for row in zero_one]
+
+
+@pytest.mark.parametrize("code", ["B", "H", lane_code(2**31 - 1)])
+def test_lanes_hold_values_up_to_their_guard_bit(code):
+    """Rows of random values spanning the whole lane, both ends included, so
+    that a borrow leaking from one lane into the next would change a row."""
+    top = (1 << (8 * array(code).itemsize - 1)) - 1
+    assert lane_code(top) == code
+    rng = random.Random(top)
+    network = WaveNetwork(S2, 4)
+    rows = [[rng.choice((0, top, rng.randrange(top + 1))) for _ in range(network.first)] for _ in range(500)]
+    out = network.run_lanes(array(code, [x for row in rows for x in row]))
+    width = len(network.final_vertices)
+    assert [tuple(out[i : i + width]) for i in range(0, len(out), width)] == [network.run(row) for row in rows]
+    with pytest.raises(ValueError, match="guard bit"):
+        network.run_lanes(array(code, [top + 1] * network.first))
+    with pytest.raises(ValueError, match="not rows of 15 start wires"):
+        network.run_lanes(array(code, [0] * (network.first + 1)))
+
+
+def test_lane_code_refuses_values_beyond_32_bits():
+    assert [lane_code(v) for v in (0, 127, 128, 32767, 32768)] == ["B", "B", "H", "H", lane_code(2**31 - 1)]
+    assert array(lane_code(2**31 - 1)).itemsize == 4
+    with pytest.raises(ValueError, match="32-bit lane"):
+        lane_code(2**31)
+
+
+def test_single_lane_run_on_labels_beyond_16_bits():
+    """`run` takes its one lane as wide as the largest chip needs."""
+    start = random_endgame_start(S3, 3, 4)
+    big = Configuration.from_dict(3, {v: [c + 70_000 for c in pile] for v, pile in start.chips})
+    assert run_waves(big) == stabilize(big, "lowest")[0]
+    assert run_waves(big).as_dict() == {v: tuple(c + 70_000 for c in pile) for v, pile in run_waves(start).chips}
 
 
 @pytest.mark.parametrize(

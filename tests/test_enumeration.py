@@ -14,9 +14,9 @@ from karyfire.engine import (
     Configuration,
     fire,
     initial_config,
+    lane_code,
     legal_moves,
     random_endgame_start,
-    run_waves,
     stabilize,
 )
 from karyfire.enumeration import (
@@ -32,6 +32,9 @@ from karyfire.tree import TreeShape, children, layer, layer_size, layer_start, p
 
 S2 = TreeShape(2)
 S3 = TreeShape(3)
+
+# A (2,4) start six root fires deep, the search of the enumerate-k2 benchmark.
+SLICE = Configuration.from_dict(2, {0: [12, 14, 15], 1: [1, 2, 4, 6, 8, 10], 2: [3, 5, 7, 9, 11, 13]})
 
 # All six stable outcomes of seven chips on the binary root, canonical order.
 BINARY_STABLE = [
@@ -67,6 +70,12 @@ def brute_force_stable(config):
 def three_layers(shape, shortcut, witnesses):
     """The search from the three-layer start, shared by the tests that read its counters."""
     return enumerate_stable(initial_config(shape, 3), endgame_shortcut=shortcut, record_witnesses=witnesses)
+
+
+@cache
+def slice_search():
+    """The full search of the (2,4) slice, shared by the tests that read it."""
+    return enumerate_stable(SLICE)
 
 
 def unlabeled_levels(k, counts):
@@ -151,22 +160,25 @@ def test_endgame_starts_collapse_to_the_wave_outcome(shape, ell):
 
 
 def test_endgame_start_with_more_ranks_than_a_byte_holds():
-    """Outcomes are keyed by bytes only while every rank fits in one; an
-    endgame start of 273 chips collapses through tuple keys instead."""
+    """An endgame start of 273 chips has ranks beyond a byte, so it
+    collapses in 16-bit lanes."""
     start = random_endgame_start(TreeShape(16), 3, 0)
     assert start.n_chips == 273
     result = enumerate_stable(start)
     assert result.stable_set == {stabilize(start, "lowest")[0]}
 
 
-@pytest.mark.parametrize("ell, n_chips", [(8, 255), (9, 511)])
+@pytest.mark.parametrize("ell, n_chips", [(7, 127), (8, 255), (9, 511)])
 def test_deep_binary_endgame_starts_on_both_outcome_keys(ell, n_chips):
-    """255 chips key outcomes on bytes, 511 on tuples; either way the
-    outcome is the wave outcome and its witness replays through `fire`."""
+    """The lane-width boundary: 127 chips have ranks up to 126, the largest
+    that an 8-bit lane holds below its guard bit, and 255 or 511 chips
+    collapse in 16-bit lanes.  Either way the outcome is the one
+    `stabilize` reaches and its witness replays through `fire`."""
     start = random_endgame_start(S2, ell, 7)
     assert start.n_chips == n_chips
+    assert lane_code(n_chips - 1) == ("B" if n_chips <= 128 else "H")
     result = enumerate_stable(start, record_witnesses=True)
-    assert result.stable_set == {run_waves(start)}
+    assert result.stable_set == {stabilize(start, "lowest")[0]}
     (outcome,) = result.stable_set
     state = start
     for move in result.witness_trace(outcome):
@@ -211,8 +223,7 @@ def test_ternary_three_layers_counters(shortcut, counters):
 def test_binary_four_layer_slice_counters():
     """A (2,4) start six root fires deep: child fires, root fires and the
     four-layer endgame collapse all run in one search."""
-    start = Configuration.from_dict(2, {0: [12, 14, 15], 1: [1, 2, 4, 6, 8, 10], 2: [3, 5, 7, 9, 11, 13]})
-    result = enumerate_stable(start)
+    result = slice_search()
     assert not result.truncated
     assert len(result.stable_keys) == 950
     assert (result.states_explored, result.memo_hits) == (103618, 418940)
@@ -317,12 +328,25 @@ def test_truncation_by_stable_count():
 
 @pytest.mark.parametrize("shape, max_stable", [(S2, 0), (S2, 5), (S3, 0), (S3, 2), (S3, 50), (S3, 500)])
 def test_stable_limit_holds_when_one_parent_collapses_into_many(shape, max_stable):
-    """The stable count is checked after every new outcome, so a search
+    """A flush checks the stable count after every new outcome, so a search
     stops one past the limit even when one parent's successors collapse
     to many outcomes."""
     result = enumerate_stable(initial_config(shape, 3), max_stable=max_stable)
     assert result.truncated
     assert len(result.stable_keys) == max_stable + 1
+
+
+@pytest.mark.parametrize("max_stable", [100, 500])
+def test_stable_limit_cuts_a_batch_from_many_parents(max_stable):
+    """On the (2,4) slice the limit falls inside one batch of endgame states
+    queued by many parents; the flush still stops one outcome past it."""
+    assert enumeration._BATCH_LANES < 57336  # the endgame level spans several batches
+    result = enumerate_stable(SLICE, max_stable=max_stable, record_witnesses=True)
+    assert result.truncated
+    assert len(result.stable_keys) == max_stable + 1
+    assert result.stable_keys <= slice_search().stable_keys
+    parents = {result.witnesses[result.witnesses[key][0]][0] for key in result.stable_keys}
+    assert len(parents) > 1
 
 
 def test_truncated_results_refuse_projection():
@@ -434,6 +458,21 @@ def test_confluence_requires_an_endgame_shape():
 
     with pytest.raises(EndgameShapeError):
         verify_endgame_confluence(initial_config(S2, 3))
+
+
+def test_each_stable_configuration_is_rendered_once(monkeypatch):
+    """Sorting, iterating, dumping and keying the stable set again reuse one
+    JSON rendering per configuration."""
+    from karyfire import engine
+
+    result = enumerate_stable(initial_config(S3, 3))
+    renders = []
+    dumps = json.dumps
+    monkeypatch.setattr(engine.json, "dumps", lambda *a, **kw: renders.append(1) or dumps(*a, **kw))
+    dump_stable(result, io.StringIO())
+    keys = [canonical_key(c) for c in result.iter_stable()]
+    assert keys == sorted(keys)
+    assert len(renders) == len(keys) + 1 == 745  # and the summary record
 
 
 def test_dump_stable_format():
