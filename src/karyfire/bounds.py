@@ -181,12 +181,16 @@ def sci_parts(value: int, digits: int = 4) -> tuple[str, int]:
 
 
 def decimal_string(value: int) -> str:
-    """str(value), lifting the interpreter's digit cap for huge integers if needed."""
+    """str(value), lifting the interpreter's digit cap for this conversion only."""
     try:
         return str(value)
     except ValueError:
+        limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(_floor_log10(abs(value)) + 10)
-        return str(value)
+        try:
+            return str(value)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 # ---------------------------------------------------------------------------

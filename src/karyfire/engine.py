@@ -436,9 +436,9 @@ class WaveNetwork:
     fires all k+1 chips it holds.  So the schedule alone fixes which wires
     feed each fire.  Wires 0.. carry the start piles in vertex order; fire i
     sorts its k+1 input wires (`schedule[i]`) onto the wires
-    `first + i*(k+1)` onward, one per destination.  A wire may carry labels
-    or ranks: both sort alike.  Every start pile feeds exactly one fire, so
-    the order of the chips within a start pile does not matter.
+    `first + i*(k+1)` onward, one per destination.  A wire carries chip
+    ranks, which sort as their labels do.  Every start pile feeds exactly
+    one fire, so the order of the chips within a start pile does not matter.
 
     A fire sorts with an insertion network of compare-exchanges
     (`exchanges`).  The network treats every input alike, so it can run
@@ -459,13 +459,12 @@ class WaveNetwork:
         for v in range(layer_start(shape, ell)):
             holding[v] = list(range(width, width + (k + 1 if v == 0 else k)))
             width += len(holding[v])
-        self.k, self.first, self.vertices, self.schedule = k, width, [], []
+        self.first, self.schedule = width, []
         for wave in range(1, ell):
             for v in range(layer_start(shape, ell - wave + 1)):
                 wires = holding.pop(v, [])
                 if len(wires) != k + 1:
                     raise WaveError(f"vertex {v} not ready in wave {wave} (holds {len(wires)} chips)")
-                self.vertices.append(v)
                 self.schedule.append(tuple(wires))
                 for d in destinations(k, v):
                     holding.setdefault(d, []).append(width)
@@ -473,33 +472,6 @@ class WaveNetwork:
         self.exchanges = [(j - 1, j) for top in range(1, k + 1) for j in range(top, 0, -1)]
         self.final_vertices = [v for v, wires in holding.items() for _ in wires]
         self.final_wires = itemgetter(*(w for wires in holding.values() for w in wires))
-
-    def _fire(self, wires: list[int], bits: int, lanes: int) -> None:
-        """Extend the start `wires`, each `lanes` lanes of `bits` bits, by every fire of the schedule."""
-        guard = ((1 << bits * lanes) - 1) // ((1 << bits) - 1) << (bits - 1)
-        if any(wire & guard for wire in wires):
-            raise ValueError(f"a start value reaches the guard bit of its {bits}-bit lane")
-        low = bits - 1
-        exchanges = self.exchanges
-        for feed in self.schedule:
-            a = [wires[i] for i in feed]
-            for p, q in exchanges:
-                x, y = a[p], a[q]
-                swap = ((x | guard) - y) & guard  # the guard of each lane where x >= y
-                swap = (x ^ y) & (swap | (swap - (swap >> low)))
-                a[p], a[q] = x ^ swap, y ^ swap
-            wires += a
-
-    def run(self, wires: list) -> tuple:
-        """The chips an endgame start ends with on `final_vertices`, in that order.
-
-        `wires` holds the start's chips in vertex order; it is extended in
-        place by every wire of the run.  This is the batch kernel of
-        `run_lanes` on one lane, as wide as the largest chip needs plus its
-        guard bit, so a lane is the chip itself.
-        """
-        self._fire(wires, max(wires).bit_length() + 1, 1)
-        return self.final_wires(wires)
 
     def run_lanes(self, rows: array) -> array:
         """Run many endgame starts at once, one per lane.
@@ -515,27 +487,27 @@ class WaveNetwork:
                 f"{len(rows)} items of type {code!r} are not rows of {first} start wires "
                 f"in lanes of type {'/'.join(_LANE_CODES[n] for n in (1, 2, 4))}"
             )
-        lanes = len(rows) // first
+        lanes, bits = len(rows) // first, 8 * size
         view = memoryview(rows)
         wires = [int.from_bytes(view[j::first], sys.byteorder) for j in range(first)]
-        self._fire(wires, 8 * size, lanes)
+        low = bits - 1
+        guard = ((1 << bits * lanes) - 1) // ((1 << bits) - 1) << low
+        if any(wire & guard for wire in wires):
+            raise ValueError(f"a start value reaches the guard bit of its {bits}-bit lane")
+        for feed in self.schedule:
+            a = [wires[i] for i in feed]
+            for p, q in self.exchanges:
+                x, y = a[p], a[q]
+                swap = ((x | guard) - y) & guard  # the guard of each lane where x >= y
+                swap = (x ^ y) & (swap | (swap - (swap >> low)))
+                a[p], a[q] = x ^ swap, y ^ swap
+            wires += a
         width = len(self.final_vertices)
         out = array(code, bytes(width * lanes * size))
         view = memoryview(out)
         for j, wire in enumerate(self.final_wires(wires)):
             view[j::width] = memoryview(wire.to_bytes(lanes * size, sys.byteorder)).cast(code)
         return out
-
-    def moves(self, wires: list) -> list[tuple[VertexId, tuple]]:
-        """The fires of a run, read off the `wires` it extended: (vertex, its k+1 chips ascending)."""
-        k1 = self.k + 1
-        if len(wires) != self.first + len(self.vertices) * k1:
-            raise ValueError(
-                f"{len(wires)} wires are not a run of this network "
-                f"({self.first} start wires and {len(self.vertices)} fires of {k1})"
-            )
-        starts = range(self.first, len(wires), k1)
-        return [(v, tuple(wires[w : w + k1])) for v, w in zip(self.vertices, starts)]
 
 
 def run_waves(config: Configuration) -> Configuration:
@@ -546,10 +518,12 @@ def run_waves(config: Configuration) -> Configuration:
     ell = layer(shape, max(config.occupied())) + 1
     endgame_start(shape, ell, config)
     network = WaveNetwork(shape, ell)
-    final = network.run([c for _, pile in config.chips for c in pile])
+    labels = config.labels()
+    rank_of = {c: r for r, c in enumerate(labels)}
+    row = array(lane_code(len(labels) - 1), [rank_of[c] for _, pile in config.chips for c in pile])
     piles: dict[VertexId, list[int]] = {}
-    for v, c in zip(network.final_vertices, final):
-        piles.setdefault(v, []).append(c)
+    for v, r in zip(network.final_vertices, network.run_lanes(row)):
+        piles.setdefault(v, []).append(labels[r])
     out = Configuration.from_dict(config.k, piles)
     assert is_stable(out)
     return out

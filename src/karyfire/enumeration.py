@@ -26,12 +26,13 @@ born: a fixed gather per selection reads its ranks off its parent's list,
 and the search never decodes it.  Every pile of an endgame state feeds one
 wave fire, which sorts it, so the gather need not keep a pile in order.
 The queue is collapsed in batches, each in one lane-parallel run of the
-compiled wave network (`WaveNetwork.run_lanes`): when it holds
-`_BATCH_LANES` states, at the end of every level and for an endgame start.
-The outcomes are deduplicated on their packed final rows in the order
-their states were queued, and an outcome's witness is the first queued
-endgame state that reached it.  The state still joins the next level,
-where it only deduplicates and is counted.  A root fire keeps its
+compiled wave network (`WaveNetwork.run_lanes`), between parents once it
+holds `_BATCH_LANES` states and at the end of every level; an endgame
+start is queued like any birth.  The outcomes are deduplicated on their
+packed final rows in the order their states were queued, and an outcome's
+witness is the first queued endgame state that reached it, a collapse that
+a witness trace replays with `stabilize`.  The state still joins the next
+level, where it only deduplicates and is counted.  A root fire keeps its
 median, so root selections that differ only in the median give one
 successor: the search fires each set of shed chips once and counts the
 other selections as memo hits, which leaves every counter as it would be
@@ -60,6 +61,7 @@ from .engine import (
     initial_config,
     lane_code,
     run_waves,
+    stabilize,
 )
 from .tree import TreeShape, VertexId, layer, layer_start, relative_index
 
@@ -67,7 +69,7 @@ DEFAULT_MAX_STATES = 10**8
 DEFAULT_MAX_STABLE = 10**7
 
 _VERTEX_LIMIT = 0xFFFF  # a state spends at most 16 bits on each chip's vertex
-# Endgame states collapsed per lane-parallel wave run.  On the (2,4) slice,
+# Endgame states queued before a flush between parents.  On the (2,4) slice,
 # batches of 1,024 to 4,096 searched within noise of each other, while 64
 # lanes spent about twice as long collapsing; every lane adds its pending
 # ranks and its final row to the peak memory of the search.
@@ -229,10 +231,11 @@ class _Search:
 
         The level is consumed state by state, so its memory can serve the
         next level as it grows.  Stable states go to the stable set.  With
-        the shortcut on, an endgame-shaped state was collapsed to its stable
-        outcome when it was born, so its group is only counted here.  The
-        search is truncated, and the rest of the level skipped, as soon as a
-        limit is exceeded.
+        the shortcut on, an endgame-shaped state was queued for collapse
+        when it was born, so its group is only counted here.  The queue is
+        flushed between parents once it holds `_BATCH_LANES` states, and at
+        the end of the level.  The search is truncated, and the rest of the
+        level skipped, as soon as a limit is exceeded.
         """
         self.level_widths.append(sum(map(len, level.values())))
         k = self.shape.k
@@ -283,16 +286,11 @@ class _Search:
                             if birth:
                                 pending += birth(wires)
                                 born.append(succ)
-                                if len(born) == _BATCH_LANES:
-                                    new, repeats = self.flush(seen)
-                                    explored += new
-                                    seen += new
-                                    hits += repeats
-                                    if seen > max_states or len(stable) > max_stable:
-                                        break
-                        else:
-                            continue
-                        break  # out of the fires too
+                    if len(born) >= _BATCH_LANES:
+                        new, repeats = self.flush(seen)
+                        explored += new
+                        seen += new
+                        hits += repeats
                 if seen > max_states or len(stable) > max_stable:
                     self.truncated = True
                     break
@@ -403,11 +401,12 @@ class EnumerationResult:
     counted in `states_explored` without joining any level, and a level
     member that a collapse already produced counts as a memo hit.  So the
     widths of a complete run sum to `states_explored` only with the
-    shortcut off.  A truncated run stops after a state or during a flush of
-    queued endgame states, so its partial counters are read at that flush
-    boundary: the outcomes of states queued since the last flush are not
-    counted, and a flush cut by a limit counts all of its repeats as memo
-    hits.  The counters of a complete run do not depend on the batching.
+    shortcut off.  Queued endgame states are flushed between parents and at
+    the end of a level.  A truncated run stops after a state or during a
+    flush, so its partial counters are read at that boundary: the outcomes
+    of states queued since the last flush are not counted, and a flush cut
+    by a limit counts all of its repeats as memo hits.  The counters of a
+    complete run do not depend on the batching.
     """
 
     k: int
@@ -438,7 +437,8 @@ class EnumerationResult:
     def witness_trace(self, config: Configuration) -> list[FiringMove]:
         """A firing sequence from the start configuration to `config`.
 
-        Available only when the search recorded witnesses.
+        Available only when the search recorded witnesses.  A collapse step
+        is replayed by `stabilize`: an endgame state has one outcome.
         """
         if self.witnesses is None:
             raise ValueError("witnesses were not recorded for this search")
@@ -454,19 +454,13 @@ class EnumerationResult:
         while key != self.start_key:
             key, move = self.witnesses[key]
             steps.append((key, move))
-        shape = TreeShape(self.k)
-        mask = (1 << self.bits) - 1
         trace: list[FiringMove] = []
         for parent, move in reversed(steps):
-            if move is None:  # an endgame collapse: read the wave fires off its rank wires
-                keys = [parent >> (r * self.bits) & mask for r in range(len(self.labels))]
-                network = WaveNetwork(shape, layer(shape, max(keys)) + 1)
-                wires = sorted(range(len(keys)), key=keys.__getitem__)
-                network.run(wires)
-                moves = network.moves(wires)
+            if move is None:  # an endgame collapse: by confluence any firing order reaches its outcome
+                trace += stabilize(_decode(parent, self.k, self.labels, self.bits), "lowest")[1]
             else:
-                moves = [move]
-            trace.extend(FiringMove(v, tuple(self.labels[r] for r in sel)) for v, sel in moves)
+                v, sel = move
+                trace.append(FiringMove(v, tuple(self.labels[r] for r in sel)))
         return trace
 
 
@@ -496,13 +490,10 @@ def enumerate_stable(
     for v, pile in config.chips:
         counts[v] = len(pile)
     counts = tuple(counts)
-    if search.endgame(counts):  # the one endgame state not born of a fire
+    if search.endgame(counts):  # queued like a birth; the first level's flush collapses it
         rank_of = {c: r for r, c in enumerate(labels)}
         search.pending += (rank_of[c] for _, pile in config.chips for c in pile)
         search.born.append(start)
-        new, _ = search.flush(search.seen)  # its outcome, the first
-        search.explored += new
-        search.seen += new
     level = {counts: {start}}
     while level and not search.truncated:
         level = search.expand(level)

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import sys
 
 import pytest
 
@@ -353,6 +354,16 @@ def test_decimal_string_handles_huge_values():
     assert decimal_string(123456) == "123456"
     assert len(decimal_string(10**5000)) == 5001
     assert sci_parts(10**5000 + 7, 3) == ("1.00", 5000)
+
+
+def test_decimal_string_leaves_the_digit_cap_as_it_was():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        assert len(decimal_string(10**5000)) == 5001
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_bound_report_formatting():

@@ -98,6 +98,15 @@ def test_enumerate_json():
     assert payload["truncated"] is False
 
 
+def test_enumerate_without_the_endgame_shortcut():
+    """Every state then joins a level, so the widths sum to the states explored."""
+    code, out, _ = run_cli(["enumerate", "--k", "3", "--ell", "3", "--json", "--no-endgame-shortcut"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["count"] == 744
+    assert sum(payload["level_widths"]) == payload["states_explored"] == 27903
+
+
 def test_enumerate_truncation_exit_code():
     code, out, err = run_cli(["enumerate", "--k", "2", "--ell", "3", "--max-states", "5"])
     assert code == 3

@@ -402,36 +402,11 @@ def test_run_waves_rejects_non_endgame():
         run_waves(spread)
 
 
-@pytest.mark.parametrize("shape,ell", [(S2, 2), (S2, 4), (S3, 3), (S4, 3)])
-def test_wave_moves_replay_through_the_kernel(shape, ell):
-    """The fires read off a network run are legal moves that reach the outcome."""
-    network = WaveNetwork(shape, ell)
-    for seed in range(3):
-        start = random_endgame_start(shape, ell, seed)
-        wires = [c for _, pile in start.chips for c in pile]
-        network.run(wires)
-        state = start
-        for v, selected in network.moves(wires):
-            state = fire(state, FiringMove(v, selected))
-        assert state == stabilize(start, "lowest")[0]
-
-
 def test_wave_network_checks_readiness_when_compiled(monkeypatch):
     """A root fire that sent its median to child 1 would overload that child in wave 1."""
     monkeypatch.setattr(engine, "destinations", lambda k, v: tuple(d or 1 for d in destinations(k, v)))
     with pytest.raises(WaveError, match=r"^vertex 1 not ready in wave 1 \(holds 4 chips\)$"):
         WaveNetwork(S2, 3)
-
-
-def test_wave_moves_refuse_wires_that_were_not_run():
-    network = WaveNetwork(S2, 3)
-    wires = [c for _, pile in random_endgame_start(S2, 3, 0).chips for c in pile]
-    with pytest.raises(ValueError, match=r"^7 wires are not a run of this network \(7 start wires and 4 fires of 3\)$"):
-        network.moves(wires)
-    network.run(wires)
-    assert [v for v, _ in network.moves(wires)] == network.vertices == [0, 1, 2, 0]
-    with pytest.raises(ValueError, match="not a run"):
-        network.moves(wires + [8])
 
 
 @pytest.mark.parametrize("k", range(2, 9))
@@ -446,6 +421,15 @@ def test_sorting_kernel_sorts_every_zero_one_input(k):
     assert [tuple(out[i : i + k + 1]) for i in range(0, len(out), k + 1)] == [tuple(sorted(row)) for row in zero_one]
 
 
+def _sorted_replay(network, row):
+    """The network's outcome for one start row, by sorting each scheduled
+    fire's input wires with `sorted` in place of the compare-exchanges."""
+    wires = list(row)
+    for feed in network.schedule:
+        wires += sorted(wires[i] for i in feed)
+    return network.final_wires(wires)
+
+
 @pytest.mark.parametrize("code", ["B", "H", lane_code(2**31 - 1)])
 def test_lanes_hold_values_up_to_their_guard_bit(code):
     """Rows of random values spanning the whole lane, both ends included, so
@@ -457,7 +441,7 @@ def test_lanes_hold_values_up_to_their_guard_bit(code):
     rows = [[rng.choice((0, top, rng.randrange(top + 1))) for _ in range(network.first)] for _ in range(500)]
     out = network.run_lanes(array(code, [x for row in rows for x in row]))
     width = len(network.final_vertices)
-    assert [tuple(out[i : i + width]) for i in range(0, len(out), width)] == [network.run(row) for row in rows]
+    assert [tuple(out[i : i + width]) for i in range(0, len(out), width)] == [_sorted_replay(network, row) for row in rows]
     with pytest.raises(ValueError, match="guard bit"):
         network.run_lanes(array(code, [top + 1] * network.first))
     with pytest.raises(ValueError, match="not rows of 15 start wires"):
@@ -472,11 +456,13 @@ def test_lane_code_refuses_values_beyond_32_bits():
 
 
 def test_single_lane_run_on_labels_beyond_16_bits():
-    """`run` takes its one lane as wide as the largest chip needs."""
+    """`run_waves` runs ranks, so its one lane is as wide as the chip count
+    needs, whatever the size of the labels."""
     start = random_endgame_start(S3, 3, 4)
-    big = Configuration.from_dict(3, {v: [c + 70_000 for c in pile] for v, pile in start.chips})
-    assert run_waves(big) == stabilize(big, "lowest")[0]
-    assert run_waves(big).as_dict() == {v: tuple(c + 70_000 for c in pile) for v, pile in run_waves(start).chips}
+    for offset in (70_000, 2**40):
+        big = Configuration.from_dict(3, {v: [c + offset for c in pile] for v, pile in start.chips})
+        assert run_waves(big) == stabilize(big, "lowest")[0]
+        assert run_waves(big).as_dict() == {v: tuple(c + offset for c in pile) for v, pile in run_waves(start).chips}
 
 
 @pytest.mark.parametrize(

@@ -142,11 +142,12 @@ def test_random_starts_match_brute_force_search():
             assert enumerate_stable(start, endgame_shortcut=shortcut).stable_set == expected, start
 
 
-@pytest.mark.parametrize("shape, ell", [(S2, 4), (S2, 5), (S3, 3), (TreeShape(4), 3)])
+@pytest.mark.parametrize("shape, ell", [(S2, 4), (S2, 5), (S3, 3), (TreeShape(4), 3), (S2, 2)])
 def test_endgame_starts_collapse_to_the_wave_outcome(shape, ell):
-    """The search collapses an endgame start at once, firing the wave
-    network on ranks; the outcome must be what the firing kernel reaches,
-    and its witness must replay there."""
+    """The search queues an endgame start like any birth and collapses it
+    in the first level's flush, firing the wave network on ranks; the
+    outcome must be what the firing kernel reaches, and its witness must
+    replay there."""
     for seed in range(3):
         start = random_endgame_start(shape, ell, seed)
         result = enumerate_stable(start, record_witnesses=True)
