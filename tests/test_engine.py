@@ -402,6 +402,30 @@ def test_run_waves_rejects_non_endgame():
         run_waves(spread)
 
 
+@pytest.mark.parametrize("shape,ell", [(S2, 2), (S2, 4), (S3, 3), (S4, 3)])
+def test_wave_moves_replay_through_the_kernel(shape, ell):
+    """The fires of the schedule, in wave order, are legal moves of the
+    firing kernel that reach the outcome `run_lanes` computes."""
+    network = WaveNetwork(shape, ell)
+    vertices = [v for wave in range(1, ell) for v in range(layer_start(shape, ell - wave + 1))]
+    assert len(vertices) == len(network.schedule)
+    for seed in range(3):
+        start = random_endgame_start(shape, ell, seed)
+        wires = [c for _, pile in start.chips for c in pile]
+        out = network.run_lanes(array(lane_code(max(wires)), wires))
+        state = start
+        for v, feed in zip(vertices, network.schedule):
+            selected = tuple(sorted(wires[i] for i in feed))
+            assert tuple(sorted(state.at(v))) == selected
+            state = fire(state, FiringMove(v, selected))
+            wires += selected
+        assert state == stabilize(start, "lowest")[0]
+        piles = collections.defaultdict(list)
+        for v, c in zip(network.final_vertices, out):
+            piles[v].append(c)
+        assert state == Configuration.from_dict(shape.k, piles)
+
+
 def test_wave_network_checks_readiness_when_compiled(monkeypatch):
     """A root fire that sent its median to child 1 would overload that child in wave 1."""
     monkeypatch.setattr(engine, "destinations", lambda k, v: tuple(d or 1 for d in destinations(k, v)))
