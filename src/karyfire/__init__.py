@@ -6,6 +6,7 @@ structural property checks.
 """
 
 from .analysis import (
+    ChoiceError,
     ConstructionError,
     FlattenedPermutation,
     PropertyVerdict,

@@ -16,9 +16,9 @@ from .bounds import n_chips
 from .engine import (
     Configuration,
     EngineError,
-    FiringMove,
+    _apply,
+    _build,
     destinations,
-    fire,
     initial_config,
     is_stable,
     stabilize,
@@ -28,6 +28,10 @@ from .tree import TreeShape, VertexId, embed_vertex, is_left_child, is_right_chi
 
 class ConstructionError(EngineError):
     """A lower-bound construction replay got an invalid choice or lost symmetry."""
+
+
+class ChoiceError(ConstructionError, ValueError):
+    """A construction choice (i, c or c') lies outside its window."""
 
 
 @dataclass(frozen=True)
@@ -237,12 +241,12 @@ def max_inversions(result, rule: str = "inorder") -> tuple[int, Configuration]:
 def _validated_choices(name: str, choices, count: int, lo: int, hi: int) -> tuple[int, ...]:
     seq = tuple(choices)
     if len(seq) != count:
-        raise ConstructionError(f"choice out of range: need {count} values for {name}, got {len(seq)}")
+        raise ChoiceError(f"choice out of range: need {count} values for {name}, got {len(seq)}")
     if list(seq) != sorted(set(seq)):
-        raise ConstructionError(f"choice out of range: {name} must be strictly ascending")
+        raise ChoiceError(f"choice out of range: {name} must be strictly ascending")
     for x in seq:
         if not lo <= x <= hi:
-            raise ConstructionError(f"choice out of range: {name} value {x} not in [{lo}, {hi}]")
+            raise ChoiceError(f"choice out of range: {name} value {x} not in [{lo}, {hi}]")
     return seq
 
 
@@ -254,7 +258,10 @@ def replay_lower_bound_construction(
     Two scripted root fires plant `i` crossing chips on each side, the root
     then fires symmetrically around the stationary chip until each child
     holds a full subtree load, and the child subtrees play out in lockstep.
-    Any failure of the symmetry requirements raises ConstructionError.
+    The children's games are one game on ranks: `lowest` picks by vertex
+    index and rank order only, so children of equal size fire the same ranks
+    at the same relative vertices.  Any failure of the symmetry requirements
+    raises ConstructionError.
     """
     shape = TreeShape(k)
     if ell < 3:
@@ -263,63 +270,51 @@ def replay_lower_bound_construction(
     lo, hi = k // 2, (k + 1) // 2
     m = (n - 1) // k * lo + 1
     if not 0 <= i <= lo:
-        raise ConstructionError(f"choice out of range: i must be in 0..{lo}, got {i}")
+        raise ChoiceError(f"choice out of range: i must be in 0..{lo}, got {i}")
     c = _validated_choices("c", c_choices, i, lo + 2, m - 1)
     cp = _validated_choices("cprime", c_prime_choices, i, m + 1, n - 2 * hi + i - 1)
 
-    config = initial_config(shape, ell)
-    first = tuple(range(1, lo + 2)) + c + tuple(range(n - hi + i + 1, n + 1))
-    config = fire(config, FiringMove(0, first))
+    piles = {0: list(range(1, n + 1))}
+    _apply(k, piles, 0, tuple(range(1, lo + 2)) + c + tuple(range(n - hi + i + 1, n + 1)))
     taken = set(range(1, lo + 1)) | set(c)
     d = tuple(x for x in range(1, m) if x not in taken)[: lo - i]
-    second = d + cp + tuple(range(n - 2 * hi + i, n - hi + i + 1))
-    config = fire(config, FiringMove(0, second))
+    _apply(k, piles, 0, d + cp + tuple(range(n - 2 * hi + i, n - hi + i + 1)))
 
     # drive the root down to the stationary chip alone
     target = n_chips(k, ell - 1)
     for _ in range(target - 2):
-        pile = config.at(0)
+        pile = piles[0]
         below = [x for x in pile if x < m][:lo]
         above = [x for x in pile if x > m][:hi]
         sel = tuple(below) + (m,) + tuple(above)
         if len(sel) != k + 1:
             raise ConstructionError("symmetry violated: root cannot fire around the stationary chip")
-        config = fire(config, FiringMove(0, sel))
-    if config.at(0) != (m,):
+        _apply(k, piles, 0, sel)
+    if piles[0] != [m]:
         raise ConstructionError("symmetry violated: root did not reduce to the stationary chip")
 
-    # the child subtrees now play identical games; run them in lockstep
-    children = list(range(1, k + 1))
-    iso_traces = []
-    rank_traces = []
+    # each child plays the rank game 1..target on its own sorted labels
+    children = range(1, k + 1)
     for child in children:
-        pile = config.at(child)
-        if len(pile) != target:
-            raise ConstructionError(f"symmetry violated: child {child} holds {len(pile)} chips, expected {target}")
-        _, trace = stabilize(Configuration.from_dict(k, {0: pile}), "lowest")
-        rank = {label: r for r, label in enumerate(pile)}
-        rank_traces.append([(mv.vertex, tuple(rank[x] for x in mv.selected)) for mv in trace])
-        iso_traces.append(trace)
-    if any(rt != rank_traces[0] for rt in rank_traces[1:]):
-        raise ConstructionError("symmetry violated: subtree firing sequences diverge")
-
-    for step in range(len(rank_traces[0])):
-        owed: dict[int, VertexId] = {}  # chip sent up -> the child it came from
-        fired_roots = False
-        for child, trace in zip(children, iso_traces):
-            mv = trace[step]
-            config = fire(config, FiringMove(embed_vertex(shape, child, mv.vertex), mv.selected))
-            if mv.vertex == 0:
-                owed[mv.selected[k // 2]] = child
-                fired_roots = True
-        if fired_roots:
-            pile = config.at(0)
+        if (held := len(piles.get(child, ()))) != target:
+            raise ConstructionError(f"symmetry violated: child {child} holds {held} chips, expected {target}")
+    labels = {child: (0, *piles[child]) for child in children}  # rank r -> labels[child][r]
+    _, game = stabilize(initial_config(shape, ell - 1), "lowest")
+    for mv in game:
+        for child in children:
+            _apply(k, piles, embed_vertex(shape, child, mv.vertex), tuple(labels[child][r] for r in mv.selected))
+        if mv.vertex == 0:
+            # each child's root sent up the chip of rank mv.selected[k // 2]
+            owed = {labels[child][mv.selected[k // 2]]: child for child in children}
+            pile = piles[0]
             if len(pile) != k + 1 or pile[k // 2] != m:
                 raise ConstructionError("symmetry violated: stationary chip displaced at the root")
-            if any(d != 0 and owed.get(chip) != d for chip, d in zip(pile, destinations(k, 0))):
+            if any(dest != 0 and owed.get(chip) != dest for chip, dest in zip(pile, destinations(k, 0))):
                 raise ConstructionError("symmetry violated: a returned chip would change subtrees")
-            config = fire(config, FiringMove(0, pile))
+            _apply(k, piles, 0, tuple(pile))
 
+    config = _build(k, piles)
+    assert config.labels() == tuple(range(1, n + 1)), "chip conservation violated"
     if not is_stable(config) or config.at(0) != (m,):
         raise ConstructionError("symmetry violated: replay did not end at a stable state")
     return config

@@ -13,7 +13,6 @@ import json
 import sys
 
 from .analysis import (
-    ConstructionError,
     check_ballot,
     check_minmax_descendants,
     check_zigzag_relation,
@@ -41,6 +40,8 @@ from .engine import (
     unlabeled_simulate,
 )
 from .enumeration import (
+    DEFAULT_MAX_STABLE,
+    DEFAULT_MAX_STATES,
     EnumerationTruncated,
     check_state_size,
     dump_stable,
@@ -228,7 +229,7 @@ def cmd_verify(args) -> int:
             checks += 1
             if not verify_endgame_confluence(config):
                 failures.append({"config": config.to_json_dict(), "property": prop, "holds": False})
-    elif prop == "unlabeled-profile":
+    else:  # unlabeled-profile
         limit = args.samples if args.samples is not None else 100
         for n in range(1, limit + 1):
             checks += 1
@@ -239,8 +240,6 @@ def cmd_verify(args) -> int:
             }
             if unlabeled_simulate(shape, n) != expected:
                 failures.append({"property": prop, "holds": False, "chips": n})
-    else:  # pragma: no cover - argparse restricts choices
-        raise UsageError(f"unknown property {prop!r}")
 
     if args.json:
         payload = {
@@ -300,9 +299,8 @@ def _int_list(text: str) -> tuple[int, ...]:
 
 def cmd_construct(args) -> int:
     check_state_size(TreeShape(args.k), args.ell)
-    config = replay_lower_bound_construction(
-        args.k, args.ell, args.i, _int_list(args.c), _int_list(args.cprime)
-    )
+    c, cprime = _int_list(args.c), _int_list(args.cprime)
+    config = replay_lower_bound_construction(args.k, args.ell, args.i, c, cprime)
     if args.json:
         _emit_json(
             {
@@ -310,8 +308,8 @@ def cmd_construct(args) -> int:
                 "k": args.k,
                 "ell": args.ell,
                 "i": args.i,
-                "c": list(_int_list(args.c)),
-                "cprime": list(_int_list(args.cprime)),
+                "c": list(c),
+                "cprime": list(cprime),
                 "config": config.to_json_dict(),
             }
         )
@@ -321,8 +319,6 @@ def cmd_construct(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    if args.kind != "unlabeled":
-        raise UsageError(f"unknown oracle {args.kind!r}")
     shape = TreeShape(args.k)
     counts = unlabeled_simulate(shape, args.chips)
     if args.json:
@@ -367,8 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="count all reachable stable configurations")
     common(p)
     p.add_argument("--dump", help="write the stable set as newline-delimited JSON")
-    p.add_argument("--max-states", type=int, default=10**8)
-    p.add_argument("--max-stable", type=int, default=10**7)
+    p.add_argument("--max-states", type=int, default=DEFAULT_MAX_STATES)
+    p.add_argument("--max-stable", type=int, default=DEFAULT_MAX_STABLE)
     p.add_argument("--no-endgame-shortcut", action="store_true")
     p.set_defaults(func=cmd_enumerate)
 
@@ -429,15 +425,12 @@ def main(argv=None) -> int:
     except EnumerationTruncated as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
-    except ConstructionError as err:
+    except ValueError as err:  # before EngineError: a ChoiceError is both
         print(f"error: {err}", file=sys.stderr)
-        return 2 if str(err).startswith("choice out of range") else 1
+        return 2
     except (EngineError, FormulaError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

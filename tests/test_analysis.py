@@ -1,11 +1,13 @@
 """Structural properties, permutation flattening, and the construction replay."""
 
+import hashlib
 import itertools
 import random
 
 import pytest
 
 from karyfire.analysis import (
+    ChoiceError,
     ConstructionError,
     FlattenedPermutation,
     PropertyVerdict,
@@ -437,22 +439,44 @@ def all_replays(k, ell):
     return outs
 
 
+def sha256_of_sorted_json(configs):
+    return hashlib.sha256("\n".join(sorted(c.to_json() for c in configs)).encode()).hexdigest()
+
+
 def test_every_choice_gives_a_distinct_outcome_binary():
     outs = all_replays(2, 4)
     assert len(outs) == 26
+    assert sha256_of_sorted_json(outs) == "1dfbe229c6241311a4278fbd4cc39380139a356b968d13c264e010d076897396"
     for config in outs:
         assert config.at(0) == (8,)
         assert check_ballot(config).holds
 
 
 def test_every_choice_gives_a_distinct_outcome_ternary():
-    assert len(all_replays(3, 3)) == 9
+    outs = all_replays(3, 3)
+    assert len(outs) == 9
+    assert sha256_of_sorted_json(outs) == "fc77ff87161d0f1586dc2b54047881e0aadfaa4014fa580d2a1ea4b557207414"
 
 
 def test_every_choice_gives_a_distinct_outcome_quaternary():
     outs = all_replays(4, 3)
     assert len(outs) == 484
     assert {config.at(0) for config in outs} == {(11,)}
+    assert sha256_of_sorted_json(outs) == "e4339ea20a2f27f97f49cba94e5bfd2393837997f8072dcd5e754279921afd30"
+
+
+@pytest.mark.parametrize(
+    "args,digest",
+    [
+        ((2, 11, 0), "b8fcf4736ce78b1b75b1f414ac6590837f481fc005d0eac0bb2e60ff36d8699d"),
+        ((2, 10, 1, (100,), (900,)), "84da10fcbabe6de631ffcadd282dc6dd8c73d9c49e6168875cd423859aabae37"),
+        ((3, 5, 1, (3,), (70,)), "6c0198ae0e7f7773b8c52935be17adf55ca7ac1d036a4f5b4b663c1c0ee80c9f"),
+        ((5, 3, 2, (5, 9), (16, 22)), "5e22f22215e1ddd9c1c854a619956577af59a1db06ec03e2cc6551211dbed272"),
+    ],
+)
+def test_larger_replays_frozen(args, digest):
+    config = replay_lower_bound_construction(*args)
+    assert hashlib.sha256(config.to_json().encode()).hexdigest() == digest
 
 
 def test_replay_choice_validation():
@@ -468,3 +492,10 @@ def test_replay_choice_validation():
         replay_lower_bound_construction(4, 3, 2, (5, 5), (12, 13))
     with pytest.raises(ValueError):
         replay_lower_bound_construction(2, 2, 0)
+
+
+def test_a_choice_error_is_a_construction_error_and_a_value_error():
+    with pytest.raises(ChoiceError) as info:
+        replay_lower_bound_construction(2, 3, 1, (2,), (5,))
+    assert isinstance(info.value, ConstructionError)
+    assert isinstance(info.value, ValueError)

@@ -366,6 +366,23 @@ def test_decimal_string_leaves_the_digit_cap_as_it_was():
         sys.set_int_max_str_digits(limit)
 
 
+@pytest.mark.parametrize(
+    "value",
+    # around the default cap of 4,300 digits, then 99,722 digits
+    [pytest.param(10**j + d, id=f"10^{j}{d:+d}") for j in (4299, 4300, 4301) for d in (-1, 0, 1)]
+    + [pytest.param(7**118_000 + 12345, id="7^118000+12345")],
+)
+def test_decimal_string_matches_str(value):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # lift the cap to compute what str gives
+    try:
+        expected = str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert decimal_string(value) == expected
+    assert sys.get_int_max_str_digits() == limit
+
+
 def test_bound_report_formatting():
     report = BoundReport("binary_Z", 2, 4, 693000)
     assert report.sci() == "6.930e5"

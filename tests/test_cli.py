@@ -9,6 +9,8 @@ import time
 
 import pytest
 
+from karyfire import cli
+from karyfire.analysis import ConstructionError
 from karyfire.cli import main
 
 
@@ -307,6 +309,17 @@ def test_construct_rejects_bad_choices():
     code, _, err = run_cli(["construct", "--k", "2", "--ell", "3", "--i", "5"])
     assert code == 2
     assert "choice out of range" in err
+
+
+def test_construct_symmetry_violation_exits_1(monkeypatch):
+    def violated(*args):
+        raise ConstructionError("symmetry violated: replay did not end at a stable state")
+
+    monkeypatch.setattr(cli, "replay_lower_bound_construction", violated)
+    code, out, err = run_cli(["construct", "--k", "2", "--ell", "3", "--i", "0"])
+    assert code == 1
+    assert out == ""
+    assert "symmetry violated" in err
 
 
 def test_construct_json_round_trips():

@@ -1,6 +1,7 @@
 """Firing kernel, stabilization policies, the unlabeled oracle, and waves."""
 
 import collections
+import hashlib
 import random
 from array import array
 from itertools import product
@@ -291,6 +292,24 @@ def test_random_policy_reproducible():
     assert a == b
     assert is_stable(a[0])
     assert a[0].as_dict() == {0: (5,), 1: (2,), 2: (6,), 3: (1,), 4: (3,), 5: (4,), 6: (7,)}
+
+
+@pytest.mark.parametrize(
+    "shape,ell,seed,fires,digest",
+    [
+        (S2, 7, 0, 522, "4b2d7ecf3e94772aed22a1a14eea5c7d87987e34cade1e5cac88640ceb87c726"),
+        (S2, 7, 1, 522, "be58c085da3ed649115244e5723b78e9c1e5b693d535ab395498e1a7a5db29a5"),
+        (S2, 7, 2, 522, "321757cb58e72caded0016acd36610ee4175246d541e04b68b163da199d88436"),
+        (S2, 7, 3, 522, "b7223a054718ca564c95d3bdac4d933e030cd7175b2e8f59977b20e88ad8ad0f"),
+        (S2, 7, 4, 522, "2f36d652f83c57583f4230048a1dd70414b52b2433aee4022a96f249778ec0e0"),
+        (S3, 4, 1, 42, "7846ca78b75961027fc026aadebac047b943b59f3d4ae856954822c5c9fc0ba6"),
+    ],
+)
+def test_seeded_random_traces_frozen(shape, ell, seed, fires, digest):
+    """Whole seeded traces, as script text, stay byte for byte the same."""
+    _, trace = stabilize(initial_config(shape, ell), "random", seed=seed)
+    assert len(trace) == fires
+    assert hashlib.sha256(format_script(trace).encode()).hexdigest() == digest
 
 
 def test_script_errors():
