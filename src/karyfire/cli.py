@@ -53,8 +53,8 @@ from .tree import TreeShape, layer_start
 FORMAT_VERSION = 1
 
 
-class UsageError(Exception):
-    """Bad flag combination or bad input data (exit code 2)."""
+class UsageError(ValueError):
+    """Bad flag combination or bad input data (exit code 2, like any ValueError)."""
 
 
 def _emit_json(payload: dict) -> None:
@@ -70,19 +70,14 @@ def cmd_simulate(args) -> int:
     shape = TreeShape(args.k)
     check_state_size(shape, args.ell)
     config = initial_config(shape, args.ell)
+    policy, script = args.policy, None
     if args.script is not None:
         with open(args.script, encoding="utf-8") as fh:
             script = parse_script(fh.read())
-        final, trace = stabilize(config, "script", script=script)
         policy = "script"
-    elif args.policy == "random":
-        if args.seed is None:
-            raise UsageError("--policy random needs --seed")
-        final, trace = stabilize(config, "random", seed=args.seed)
-        policy = "random"
-    else:
-        final, trace = stabilize(config, "lowest")
-        policy = "lowest"
+    elif policy == "random" and args.seed is None:
+        raise UsageError("--policy random needs --seed")
+    final, trace = stabilize(config, policy, script=script, seed=args.seed)
     if args.json:
         payload = {
             "command": "simulate",
@@ -144,30 +139,27 @@ def _bound_reports(args) -> list:
     which = args.which
     if which in ("binary", "lower-binary") and args.k != 2:
         raise UsageError(f"--which {which} needs --k 2")
-    try:
-        if which == "naive":
-            return [naive_bound(args.k, args.ell)]
-        if which == "zigzag":
-            return [zigzag_bound(args.k, args.ell)]
-        if which == "binary":
-            return [binary_zigzag_bound(args.ell, "T"), binary_zigzag_bound(args.ell, "Z")]
-        if which == "lower-binary":
-            return [lower_bound_binary(args.ell)]
-        if which == "lower-general":
-            return [lower_bound_general(args.k, args.ell)]
-        reports = [
-            naive_bound(args.k, args.ell),
-            zigzag_bound(args.k, args.ell),
-            lower_bound_general(args.k, args.ell),
-        ]
-        if args.k == 2:
-            reports.append(lower_bound_binary(args.ell))
-            if args.ell >= 4:
-                reports.append(binary_zigzag_bound(args.ell, "T"))
-                reports.append(binary_zigzag_bound(args.ell, "Z"))
-        return reports
-    except ValueError as err:
-        raise UsageError(str(err)) from err
+    if which == "naive":
+        return [naive_bound(args.k, args.ell)]
+    if which == "zigzag":
+        return [zigzag_bound(args.k, args.ell)]
+    if which == "binary":
+        return [binary_zigzag_bound(args.ell, "T"), binary_zigzag_bound(args.ell, "Z")]
+    if which == "lower-binary":
+        return [lower_bound_binary(args.ell)]
+    if which == "lower-general":
+        return [lower_bound_general(args.k, args.ell)]
+    reports = [
+        naive_bound(args.k, args.ell),
+        zigzag_bound(args.k, args.ell),
+        lower_bound_general(args.k, args.ell),
+    ]
+    if args.k == 2:
+        reports.append(lower_bound_binary(args.ell))
+        if args.ell >= 4:
+            reports.append(binary_zigzag_bound(args.ell, "T"))
+            reports.append(binary_zigzag_bound(args.ell, "Z"))
+    return reports
 
 
 def cmd_bounds(args) -> int:
@@ -267,10 +259,7 @@ def cmd_flatten(args) -> int:
     with open(args.config, encoding="utf-8") as fh:
         config = Configuration.from_json(fh.read())
     rule = "children_first" if args.rule == "children-first" else "inorder"
-    try:
-        perm = flatten(config, rule)
-    except ValueError as err:
-        raise UsageError(str(err)) from err
+    perm = flatten(config, rule)
     count = inversions(perm)
     if args.json:
         _emit_json(
@@ -419,9 +408,6 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
     except EnumerationTruncated as err:
         print(f"error: {err}", file=sys.stderr)
         return 3

@@ -41,7 +41,7 @@ class ScriptError(EngineError):
 
 
 class StepLimitError(EngineError):
-    """Stabilization exceeded its step limit."""
+    """The unlabeled relaxation exceeded its round limit."""
 
 
 class EndgameShapeError(EngineError):
@@ -176,7 +176,12 @@ def destinations(k: int, v: VertexId) -> tuple[VertexId, ...]:
 
 
 def _apply(k: int, piles: dict[VertexId, list[int]], vertex: VertexId, selected: tuple[int, ...]) -> None:
-    """Fire `selected` (sorted, size k+1) at `vertex`, mutating `piles`."""
+    """Fire `selected` (sorted) at `vertex`, mutating `piles`.
+
+    This is where every move is checked: it must select k+1 chips, all at `vertex`.
+    """
+    if len(selected) != k + 1:
+        raise IllegalMoveError(f"wrong selection size: need k+1 = {k + 1} chips, got {len(selected)}")
     pile = piles.get(vertex, [])
     sel = set(selected)
     if len(sel & set(pile)) != k + 1:
@@ -202,10 +207,6 @@ def _build(k: int, piles: dict[VertexId, list[int]]) -> Configuration:
 def fire(config: Configuration, move: FiringMove) -> Configuration:
     """Apply a single firing move, returning the new configuration."""
     k = config.k
-    if len(move.selected) != k + 1:
-        raise IllegalMoveError(
-            f"wrong selection size: need k+1 = {k + 1} chips, got {len(move.selected)}"
-        )
     piles = _piles_of(config)
     _apply(k, piles, move.vertex, move.selected)
     out = _build(k, piles)
@@ -242,65 +243,52 @@ def stabilize(
     *,
     script: list[FiringMove] | None = None,
     seed: int | None = None,
-    step_limit: int | None = None,
 ) -> tuple[Configuration, list[FiringMove]]:
     """Drive `config` to a stable configuration and return it with the move trace.
 
     Policies: "lowest" fires the lexicographically first legal move, "random"
     draws uniformly from the legal moves of a seeded generator, and "script"
     replays the given moves (which must end at a stable configuration).
+
+    No step limit is needed.  By the abelian property of chip-firing
+    (Björner, Lovász & Shor, *Chip-firing games on graphs*, 1991) the chip
+    counts fix how often each vertex fires on the way to a stable
+    configuration, so every "lowest" or "random" run ends after the fires
+    that the unlabeled relaxation counts, and no legal script is longer.
     """
     k = config.k
-    rng = None
+    piles = _piles_of(config)
     if policy == "script":
         if script is None:
             raise ValueError("policy 'script' needs a script")
-    elif policy == "random":
+        trace = list(script)
+        for step, move in enumerate(trace):
+            try:
+                _apply(k, piles, move.vertex, move.selected)
+            except IllegalMoveError as err:
+                raise ScriptError(f"script illegal at step {step}: {err}") from err
+        fireable = sorted(v for v, pile in piles.items() if len(pile) > k)
+        if fireable:
+            raise ScriptError(f"script ended before stabilization (vertices {fireable} can still fire)")
+        return _build(k, piles), trace
+    rng = None
+    if policy == "random":
         if seed is None:
             raise ValueError("policy 'random' needs a seed")
         rng = _random.Random(seed)
     elif policy != "lowest":
         raise ValueError(f"unknown policy {policy!r}")
-    if step_limit is None:
-        counts = {v: len(pile) for v, pile in config.chips}
-        _, fires = _unlabeled_relax(k, counts)
-        step_limit = 10 * max(1, sum(fires.values()))
 
-    piles = _piles_of(config)
-    trace: list[FiringMove] = []
-    script_iter = iter(script or ())
-    while True:
-        fireable = sorted(v for v, pile in piles.items() if len(pile) >= k + 1)
-        if policy == "script":
-            move = next(script_iter, None)
-            if move is None:
-                if fireable:
-                    raise ScriptError(
-                        f"script ended before stabilization (vertices {fireable} can still fire)"
-                    )
-                break
-            if len(move.selected) != k + 1:
-                raise ScriptError(
-                    f"script illegal at step {len(trace)}: selection size {len(move.selected)}, need {k + 1}"
-                )
+    trace = []
+    while fireable := sorted(v for v, pile in piles.items() if len(pile) > k):
+        if rng is None:
+            v = fireable[0]
+            move = FiringMove(v, tuple(piles[v][: k + 1]))
         else:
-            if not fireable:
-                break
-            if policy == "lowest":
-                v = fireable[0]
-                move = FiringMove(v, tuple(piles[v][: k + 1]))
-            else:
-                weights = [comb(len(piles[v]), k + 1) for v in fireable]
-                v = rng.choices(fireable, weights=weights)[0]
-                move = FiringMove(v, tuple(rng.sample(piles[v], k + 1)))
-        if len(trace) >= step_limit:
-            raise StepLimitError(f"step limit exceeded ({step_limit} moves)")
-        try:
-            _apply(k, piles, move.vertex, move.selected)
-        except IllegalMoveError as err:
-            if policy == "script":
-                raise ScriptError(f"script illegal at step {len(trace)}: {err}") from err
-            raise
+            weights = [comb(len(piles[v]), k + 1) for v in fireable]
+            v = rng.choices(fireable, weights=weights)[0]
+            move = FiringMove(v, tuple(rng.sample(piles[v], k + 1)))
+        _apply(k, piles, move.vertex, move.selected)
         trace.append(move)
     return _build(k, piles), trace
 
@@ -386,30 +374,22 @@ def unlabeled_profile(shape: TreeShape, n_chips: int) -> list[int]:
 # endgame
 
 
-def endgame_offenders(shape: TreeShape, ell: int, counts: dict[VertexId, int]) -> list[VertexId]:
-    """Vertices whose chip counts break the endgame-start shape for ell layers, ascending.
-
-    `counts` maps each occupied vertex to its number of chips.  The root
-    must hold exactly k+1 chips, every vertex on layers 2..ell-1 exactly k,
-    and nothing may sit on layer ell or below.
-    """
-    k = shape.k
-    boundary = layer_start(shape, ell)
-    bad = [v for v in range(boundary) if counts.get(v, 0) != (k if v else k + 1)]
-    bad.extend(sorted(v for v in counts if v >= boundary))
-    return bad
-
-
 def endgame_start(shape: TreeShape, ell: int, config: Configuration) -> Configuration:
-    """Validate the shape that opens the endgame (see `endgame_offenders`).
+    """Validate the shape that opens the endgame for ell layers.
 
-    Labels are not constrained.  Returns the configuration unchanged when valid.
+    The root must hold exactly k+1 chips, every vertex on layers 2..ell-1
+    exactly k, and nothing may sit on layer ell or below.  Labels are not
+    constrained.  Returns the configuration unchanged when valid.
     """
     if ell < 2:
         raise ValueError(f"ell must be >= 2, got {ell}")
     if config.k != shape.k:
         raise ValueError(f"configuration arity {config.k} does not match shape {shape.k}")
-    bad = endgame_offenders(shape, ell, {v: len(pile) for v, pile in config.chips})
+    k = shape.k
+    counts = {v: len(pile) for v, pile in config.chips}
+    boundary = layer_start(shape, ell)
+    bad = [v for v in range(boundary) if counts.get(v, 0) != (k if v else k + 1)]
+    bad.extend(sorted(v for v in counts if v >= boundary))
     if bad:
         raise EndgameShapeError(f"not an endgame-start shape for ell={ell} (offending vertices {bad})")
     return config

@@ -17,13 +17,17 @@ Duplicates therefore meet only within a level, and the search keeps just
 the current level, the next one and the stable set.
 
 A level is grouped by chip-count vector.  The states of one group share
-which vertices can fire, whether they are stable, whether they have the
-endgame shape and which group each fire leads to, so all of that is worked
-out once per group.  A state is decoded once, into its ranks sorted by
-vertex; every pile is then a fixed slice of that list.  An endgame-shaped
-state has one outcome, so with the shortcut on it is queued when it is
-born: a fixed gather per selection reads its ranks off its parent's list,
-and the search never decodes it.  Every pile of an endgame state feeds one
+which vertices can fire, whether they are stable and which group each fire
+leads to, so all of that is worked out once per group.  A state is decoded
+once, into its ranks sorted by vertex; every pile is then a fixed slice of
+that list.  The chip count N alone fixes the one endgame shape the search
+can meet: k+1 chips on the root and k on every other vertex of layers
+1..ell-1, for the ell with N = 1 + k * layer_start(ell).  So the search
+builds that count vector and its wave network once, and a group has the
+endgame shape when its counts equal the vector.  An endgame-shaped state
+has one outcome, so with the shortcut on it is queued when it is born: a
+fixed gather per selection reads its ranks off its parent's list, and the
+search never decodes it.  Every pile of an endgame state feeds one
 wave fire, which sorts it, so the gather need not keep a pile in order.
 The queue is collapsed in batches, each in one lane-parallel run of the
 compiled wave network (`WaveNetwork.run_lanes`), between parents once it
@@ -57,13 +61,12 @@ from .engine import (
     WaveNetwork,
     _unlabeled_relax,
     destinations,
-    endgame_offenders,
     initial_config,
     lane_code,
     run_waves,
     stabilize,
 )
-from .tree import TreeShape, VertexId, layer, layer_start, relative_index
+from .tree import TreeShape, VertexId, layer_start, relative_index
 
 DEFAULT_MAX_STATES = 10**8
 DEFAULT_MAX_STABLE = 10**7
@@ -198,6 +201,7 @@ class _Search:
 
     shape: TreeShape
     n_chips: int
+    reach: int  # the largest vertex a chip can occupy; a count vector has reach + 1 entries
     bits: int
     max_states: int
     max_stable: int
@@ -207,10 +211,8 @@ class _Search:
     witnesses: dict | None
     stable: set[int] = field(default_factory=set)
     deltas: dict[VertexId, _FireDeltas] = field(default_factory=dict)
-    # The chip count fixes ell for every endgame start, so one network serves
-    # the search, and its final rows, packed in lanes of `lane`, name the
+    # The final rows of the wave network, packed in lanes of `lane`, name the
     # outcomes one to one.
-    network: WaveNetwork | None = None
     outcomes: set[bytes] = field(default_factory=set)
     # Endgame states queued since the last flush: their ranks grouped by
     # vertex, back to back, and the states themselves.
@@ -225,17 +227,32 @@ class _Search:
     def __post_init__(self) -> None:
         self.shifts = [r * self.bits for r in range(self.n_chips)]
         self.lane = lane_code(self.n_chips - 1)
+        # N chips fill an endgame start for at most one ell, the one with
+        # N = 1 + k * layer_start(ell): k+1 chips on the root and k on each
+        # other vertex of layers 1..ell-1.  So one count vector and one wave
+        # network serve the whole search; both are None with the shortcut off
+        # or when no ell fits.
+        self.endgame_counts = self.network = None
+        if self.endgame_shortcut:
+            k, ell = self.shape.k, 2
+            while 1 + k * layer_start(self.shape, ell) < self.n_chips:
+                ell += 1
+            size = layer_start(self.shape, ell)
+            if 1 + k * size == self.n_chips:
+                self.endgame_counts = (k + 1, *repeat(k, size - 1), *repeat(0, self.reach + 1 - size))
+                self.network = WaveNetwork(self.shape, ell)
 
     def expand(self, level: Level) -> Level:
         """Explore every state of one level and return the next level.
 
         The level is consumed state by state, so its memory can serve the
         next level as it grows.  Stable states go to the stable set.  With
-        the shortcut on, an endgame-shaped state was queued for collapse
-        when it was born, so its group is only counted here.  The queue is
-        flushed between parents once it holds `_BATCH_LANES` states, and at
-        the end of the level.  The search is truncated, and the rest of the
-        level skipped, as soon as a limit is exceeded.
+        the shortcut on, a state whose counts equal `endgame_counts` was
+        queued for collapse when it was born, so its group is only counted
+        here.  The queue is flushed between parents once it holds
+        `_BATCH_LANES` states, and at the end of the level.  The search is
+        truncated, and the rest of the level skipped, as soon as a limit is
+        exceeded.
         """
         self.level_widths.append(sum(map(len, level.values())))
         k = self.shape.k
@@ -249,7 +266,7 @@ class _Search:
         nxt: Level = {}
         while level and not self.truncated:
             counts, states = level.popitem()
-            if self.endgame(counts):
+            if counts == self.endgame_counts:
                 explored += len(states)
                 self.truncated = seen > max_states or len(stable) > max_stable
                 continue
@@ -303,18 +320,6 @@ class _Search:
         self.explored, self.hits, self.seen = explored, hits, seen
         return nxt
 
-    def endgame(self, counts: tuple[int, ...]) -> WaveNetwork | None:
-        """The wave network if the shortcut is on and the counts have the endgame shape."""
-        if not self.endgame_shortcut or counts[0] != self.shape.k + 1:
-            return None
-        occupied = {v: c for v, c in enumerate(counts) if c}
-        ell = layer(self.shape, max(occupied)) + 1
-        if endgame_offenders(self.shape, ell, occupied):
-            return None
-        if self.network is None:
-            self.network = WaveNetwork(self.shape, ell)
-        return self.network
-
     def flush(self, seen: int) -> tuple[int, int]:
         """Collapse the queued endgame states to their stable outcomes in one
         lane-parallel run of the wave network, and record the new outcomes.
@@ -361,7 +366,7 @@ class _Search:
         ranks sorted by vertex, the `_root_leavers` flags at the root, the
         next-level set it feeds, its deltas, its births).  The births say,
         per selection, how to collapse a new successor: when the fire leads
-        to the endgame shape, each is a gather of the successor's ranks
+        to `endgame_counts`, each is a gather of the successor's ranks
         grouped by vertex off the parent's ranks sorted by vertex; otherwise
         each is None.  Stable counts give no fires.
         """
@@ -382,7 +387,7 @@ class _Search:
             if fire is None:
                 fire = self.deltas[v] = _FireDeltas(k, v, self.bits)
             births = repeat(None)
-            if self.endgame(after):
+            if after == self.endgame_counts:
                 births = _births(starts, v, fire.dests)
                 if v == 0:
                     births = list(compress(births, shed))
@@ -485,12 +490,14 @@ def enumerate_stable(
     bits = max(reach, 1).bit_length()
     start = _encode(config, labels, bits)
     witnesses = {} if record_witnesses else None
-    search = _Search(config.shape, config.n_chips, bits, max_states, max_stable, endgame_shortcut, witnesses)
+    search = _Search(
+        config.shape, config.n_chips, reach, bits, max_states, max_stable, endgame_shortcut, witnesses
+    )
     counts = [0] * (reach + 1)
     for v, pile in config.chips:
         counts[v] = len(pile)
     counts = tuple(counts)
-    if search.endgame(counts):  # queued like a birth; the first level's flush collapses it
+    if counts == search.endgame_counts:  # queued like a birth; the first level's flush collapses it
         rank_of = {c: r for r, c in enumerate(labels)}
         search.pending += (rank_of[c] for _, pile in config.chips for c in pile)
         search.born.append(start)

@@ -3,15 +3,27 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import karyfire
 from karyfire import cli
 from karyfire.analysis import ConstructionError
 from karyfire.cli import main
+
+
+# A child interpreter imports the same karyfire sources as this one.
+SUBPROCESS_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(Path(karyfire.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")])
+    ),
+}
 
 
 def run_cli(argv):
@@ -79,6 +91,14 @@ def test_simulate_bad_script_fails(tmp_path):
     code, _, err = run_cli(["simulate", "--k", "2", "--ell", "3", "--script", str(script)])
     assert code == 1
     assert "script illegal at step 0" in err
+
+
+def test_simulate_wrong_size_script_move_fails(tmp_path):
+    script = tmp_path / "short.txt"
+    script.write_text("fire 0: 1 2\n")
+    code, _, err = run_cli(["simulate", "--k", "2", "--ell", "3", "--script", str(script)])
+    assert code == 1
+    assert err == "error: script illegal at step 0: wrong selection size: need k+1 = 3 chips, got 2\n"
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +387,7 @@ def test_module_entry_point_subprocess():
         [sys.executable, "-m", "karyfire", "bounds", "--k", "4", "--ell", "3", "--which", "zigzag"],
         capture_output=True,
         text=True,
+        env=SUBPROCESS_ENV,
     )
     assert proc.returncode == 0
     assert proc.stdout == "3167841156480\n"
@@ -378,5 +399,6 @@ def test_exit_code_three_from_subprocess():
          "--max-states", "5"],
         capture_output=True,
         text=True,
+        env=SUBPROCESS_ENV,
     )
     assert proc.returncode == 3

@@ -315,15 +315,20 @@ def test_seeded_random_traces_frozen(shape, ell, seed, fires, digest):
 def test_script_errors():
     with pytest.raises(ScriptError, match="script illegal at step 0"):
         stabilize(initial_config(S2, 3), "script", script=[FiringMove(1, (1, 2, 3))])
+    with pytest.raises(
+        ScriptError, match="script illegal at step 1: wrong selection size: need k\\+1 = 3 chips, got 2"
+    ):
+        stabilize(initial_config(S2, 3), "script", script=[BINARY_SCRIPT[0], FiringMove(1, (1, 2))])
     with pytest.raises(ScriptError, match="script ended before stabilization"):
         stabilize(initial_config(S2, 3), "script", script=BINARY_SCRIPT[:2])
     with pytest.raises(ValueError):
         stabilize(initial_config(S2, 3), "script")
 
 
-def test_step_limit_guard():
-    with pytest.raises(StepLimitError, match="step limit exceeded"):
-        stabilize(initial_config(S2, 3), "lowest", step_limit=3)
+def test_relaxation_round_limit(monkeypatch):
+    monkeypatch.setattr(engine, "_RELAX_ROUND_LIMIT", 3)
+    with pytest.raises(StepLimitError, match="step limit exceeded in unlabeled relaxation"):
+        unlabeled_simulate(S2, 31)
 
 
 @pytest.mark.parametrize("seed", range(6))

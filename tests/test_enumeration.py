@@ -233,6 +233,29 @@ def test_binary_four_layer_slice_counters():
     assert hashlib.sha256(b"\n".join(keys)).hexdigest().startswith("b04d30c46bbae844")
 
 
+# The (2,5) endgame counts with one fire at vertex 4 undone, labels dealt in
+# vertex order.  A root fire can bypass the endgame shape from here, so a
+# stable state can first be reached as a collapse outcome and meet the
+# search again later as an ordinary level member.
+BYPASS = Configuration.from_dict(
+    2,
+    {
+        0: [1, 2, 3], 1: [4], 2: [5, 6], 3: [7, 8], 4: range(9, 14), 5: [14, 15], 6: [16, 17],
+        7: [18, 19], 8: [20, 21], 9: [22], 10: [23], 11: [24, 25], 12: [26, 27], 13: [28, 29], 14: [30, 31],
+    },
+)
+
+
+def test_a_stable_state_reached_by_collapse_and_by_firing_counts_once():
+    """A level member that a collapse already produced is a memo hit, not a
+    second state."""
+    fast, slow = (enumerate_stable(BYPASS, endgame_shortcut=shortcut) for shortcut in (True, False))
+    assert fast.stable_set == slow.stable_set
+    assert len(fast.stable_keys) == 2
+    assert (fast.states_explored, fast.memo_hits) == (11751, 43888)
+    assert not fast.truncated
+
+
 @pytest.mark.parametrize("shortcut", [True, False])
 def test_ternary_witnesses_replay_through_the_kernel(shortcut):
     """Each root fire is generated once per set of shed chips; the recorded
@@ -452,6 +475,11 @@ def test_endgame_confluence(shape, ell, seeds):
 
 def test_endgame_confluence_binary_four_layers():
     assert verify_endgame_confluence(random_endgame_start(S2, 4, 0))
+
+
+def test_confluence_undecided_when_the_search_is_truncated():
+    with pytest.raises(EnumerationTruncated, match="confluence undecided"):
+        verify_endgame_confluence(random_endgame_start(S3, 3, 0), max_states=5)
 
 
 def test_confluence_requires_an_endgame_shape():
