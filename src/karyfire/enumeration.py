@@ -14,7 +14,12 @@ The search runs level by level.  By the abelian property of chip-firing
 counts of a state fix how often each vertex fired to reach it, so every
 state has one depth and every fire leads from depth d to depth d+1.
 Duplicates therefore meet only within a level, and the search keeps just
-the current level, the next one and the stable set.
+the current level, the next one and the stable set.  The next level is
+built as sets, which deduplicate its states.  A finished level is only
+popped, so when its expansion begins each of its groups is packed into
+one `bytearray` of fixed-width little-endian records, ceil(N * b / 8)
+bytes per state for N chips, which is read from its last record to its
+first.  The endgame group (below) is only counted, so it stays a set.
 
 A level is grouped by chip-count vector.  The states of one group share
 which vertices can fire, whether they are stable and which group each fire
@@ -190,9 +195,19 @@ def _births(starts: list[int], v: VertexId, dests: list[VertexId]) -> list[itemg
 # search
 
 
+def _pack(states: set[int], width: int) -> bytearray:
+    """The states as little-endian records of `width` bytes, in set order."""
+    packed = bytearray()
+    for state in states:
+        packed += state.to_bytes(width, "little")
+    return packed
+
+
 # A level maps each chip-count vector (one entry per vertex up to the reach)
-# to the set of states at that depth with those counts.
-Level = dict[tuple[int, ...], set[int]]
+# to the states at that depth with those counts: a set while the level is
+# built, then, once `_Search.expand` begins on it, the states packed by
+# `_pack`, except for the endgame counts, whose group stays a set.
+Level = dict[tuple[int, ...], set[int] | bytearray]
 
 
 @dataclass
@@ -226,6 +241,7 @@ class _Search:
 
     def __post_init__(self) -> None:
         self.shifts = [r * self.bits for r in range(self.n_chips)]
+        self.width = (self.n_chips * self.bits + 7) // 8  # bytes per packed state
         self.lane = lane_code(self.n_chips - 1)
         # N chips fill an endgame start for at most one ell, the one with
         # N = 1 + k * layer_start(ell): k+1 chips on the root and k on each
@@ -245,16 +261,26 @@ class _Search:
     def expand(self, level: Level) -> Level:
         """Explore every state of one level and return the next level.
 
-        The level is consumed state by state, so its memory can serve the
-        next level as it grows.  Stable states go to the stable set.  With
-        the shortcut on, a state whose counts equal `endgame_counts` was
-        queued for collapse when it was born, so its group is only counted
-        here.  The queue is flushed between parents once it holds
-        `_BATCH_LANES` states, and at the end of the level.  The search is
-        truncated, and the rest of the level skipped, as soon as a limit is
-        exceeded.
+        The level arrives as sets and is packed first: each group becomes
+        one `bytearray` of `width`-byte records, in set order, and is read
+        from its last record to its first, so the states come in the order
+        `list(set).pop()` gives.  A group is dropped once it is read, so its
+        memory can serve the next level as it grows; shrinking the
+        `bytearray` while it is read measured a higher peak RSS on the
+        full (2,4) search, not a lower one.  Stable states go to the stable
+        set.  With the shortcut on, a state whose counts equal
+        `endgame_counts` was queued for collapse when it was born, so its
+        group is only counted here and stays a set.  The queue is flushed
+        between parents once it holds `_BATCH_LANES` states, and at the end
+        of the level.  The search is truncated, and the rest of the level
+        skipped, as soon as a limit is exceeded; `max_states` is checked
+        after every new state, so a parent can stop in the middle of a fire.
         """
         self.level_widths.append(sum(map(len, level.values())))
+        width = self.width
+        for counts, states in level.items():
+            if counts != self.endgame_counts:
+                level[counts] = _pack(states, width)
         k = self.shape.k
         k1 = k + 1
         mask = (1 << self.bits) - 1
@@ -270,10 +296,9 @@ class _Search:
                 explored += len(states)
                 self.truncated = seen > max_states or len(stable) > max_stable
                 continue
-            states = list(states)  # a set keeps its table while popped; a list shrinks
             fires, surplus = self._group(counts, nxt)
-            while states:
-                state = states.pop()
+            for at in range(len(states) - width, -1, -width):
+                state = int.from_bytes(states[at : at + width], "little")
                 explored += 1
                 if not fires:
                     if state in stable:  # first reached as the outcome of an endgame collapse
@@ -303,6 +328,10 @@ class _Search:
                             if birth:
                                 pending += birth(wires)
                                 born.append(succ)
+                            if seen > max_states:
+                                break
+                        if seen > max_states:  # the limit ends this parent's other fires too
+                            break
                     if len(born) >= _BATCH_LANES:
                         new, repeats = self.flush(seen)
                         explored += new
@@ -407,11 +436,14 @@ class EnumerationResult:
     member that a collapse already produced counts as a memo hit.  So the
     widths of a complete run sum to `states_explored` only with the
     shortcut off.  Queued endgame states are flushed between parents and at
-    the end of a level.  A truncated run stops after a state or during a
-    flush, so its partial counters are read at that boundary: the outcomes
-    of states queued since the last flush are not counted, and a flush cut
-    by a limit counts all of its repeats as memo hits.  The counters of a
-    complete run do not depend on the batching.
+    the end of a level.  A truncated run stops after a state, during a
+    fire (at the new state that exceeds `max_states`) or during a flush,
+    so its partial counters are read at that boundary: a parent cut
+    during a fire has counted its surplus root selections as memo hits
+    but not its remaining successors, the outcomes of states queued since
+    the last flush are not counted, and a flush cut by a limit counts all
+    of its repeats as memo hits.  The counters of a complete run do not
+    depend on the batching.
     """
 
     k: int

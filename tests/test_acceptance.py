@@ -9,6 +9,7 @@ opt-in: set KARYFIRE_EXTENDED=1 to run it.
 import collections
 import itertools
 import os
+import resource
 import time
 
 import pytest
@@ -233,4 +234,6 @@ def test_criterion_12_extended_four_layer_enumeration():
         assert check_ballot(config).holds, config
     count, witness = max_inversions(result, "inorder")
     assert count == 25, witness
-    print(f"criterion 12: Z(2,4) = {z}, ballot holds everywhere, max inversions 25")
+    peak_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+    print(f"criterion 12: Z(2,4) = {z}, ballot holds everywhere, max inversions 25, peak RSS {peak_mib:.1f} MiB")
+    assert peak_mib < 1000

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import random
+import tracemalloc
 from collections import defaultdict
 from functools import cache
 
@@ -256,6 +257,31 @@ def test_a_stable_state_reached_by_collapse_and_by_firing_counts_once():
     assert not fast.truncated
 
 
+def witness_digest(result):
+    """SHA-256 over every outcome's witness trace, in canonical order."""
+    digest = hashlib.sha256()
+    for config in result.iter_stable():
+        trace = [[move.vertex, list(move.selected)] for move in result.witness_trace(config)]
+        digest.update(json.dumps(trace).encode() + b"\n")
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "search, digest",
+    [
+        (lambda: enumerate_stable(SLICE, record_witnesses=True),
+         "9763bb3808b07111161bf355607dc86a940dd78cc1f6509746f927c1f1858aec"),
+        (lambda: three_layers(S3, True, True), "9e2e0d26cc5a78d43cb3db95c9b8d94be835cf01a6b5a502063eb9314e5b9da7"),
+    ],
+    ids=["slice", "ternary-three-layers"],
+)
+def test_witness_traces_frozen(search, digest):
+    """The order in which a level's states are popped picks each witness:
+    the first parent to reach a state, and the first queued endgame state
+    to reach an outcome.  Frozen traces pin that order."""
+    assert witness_digest(search()) == digest
+
+
 @pytest.mark.parametrize("shortcut", [True, False])
 def test_ternary_witnesses_replay_through_the_kernel(shortcut):
     """Each root fire is generated once per set of shed chips; the recorded
@@ -342,6 +368,24 @@ def test_truncated_searches_find_part_of_the_stable_set(max_states):
     assert result.stable_keys <= three_layers(S3, True, False).stable_keys
     with pytest.raises(EnumerationTruncated):
         count_stable(S3, 3, max_states=max_states)
+
+
+def test_state_limit_stops_a_parent_during_its_fire():
+    """The (2,9) root fire has C(511, 2) = 130,305 successors; a limit of 10
+    states ends the search inside that one fire instead of after it."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        result = enumerate_stable(initial_config(S2, 9), max_states=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert result.truncated
+    assert result.states_explored == 1
+    assert peak < 16 * 2**20
 
 
 def test_truncation_by_stable_count():
