@@ -10,8 +10,6 @@ construction with its symmetry requirements checked at run time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .bounds import n_chips
 from .engine import (
     Configuration,
@@ -23,7 +21,7 @@ from .engine import (
     is_stable,
     stabilize,
 )
-from .tree import TreeShape, VertexId, embed_vertex, is_left_child, is_right_child, parent
+from .tree import TreeShape, VertexId, _Frozen, embed_vertex, is_left_child, is_right_child, parent
 
 
 class ConstructionError(EngineError):
@@ -34,13 +32,18 @@ class ChoiceError(ConstructionError, ValueError):
     """A construction choice (i, c or c') lies outside its window."""
 
 
-@dataclass(frozen=True)
-class PropertyVerdict:
+class PropertyVerdict(_Frozen):
     """Outcome of one structural check, with violating (vertex, chip) pairs."""
 
     property: str
     holds: bool
-    witnesses: tuple[tuple[VertexId, int], ...] = ()
+    witnesses: tuple[tuple[VertexId, int], ...]
+    _fields = ("property", "holds", "witnesses")
+
+    def __init__(self, property: str, holds: bool, witnesses: tuple[tuple[VertexId, int], ...] = ()) -> None:
+        object.__setattr__(self, "property", property)
+        object.__setattr__(self, "holds", holds)
+        object.__setattr__(self, "witnesses", witnesses)
 
     def to_json_dict(self) -> dict:
         return {
@@ -50,12 +53,16 @@ class PropertyVerdict:
         }
 
 
-@dataclass(frozen=True)
-class FlattenedPermutation:
+class FlattenedPermutation(_Frozen):
     """Left-to-right reading of a one-chip-per-vertex stable configuration."""
 
     sequence: tuple[int, ...]
     rule: str
+    _fields = ("sequence", "rule")
+
+    def __init__(self, sequence: tuple[int, ...], rule: str) -> None:
+        object.__setattr__(self, "sequence", sequence)
+        object.__setattr__(self, "rule", rule)
 
     def as_line(self) -> str:
         return ",".join(map(str, self.sequence))

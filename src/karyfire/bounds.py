@@ -13,11 +13,10 @@ of stabilizing strategies.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial, isqrt
 
-from .tree import TreeShape, layer_start
+from .tree import TreeShape, _Frozen, layer_start
 
 
 class FormulaError(ArithmeticError):
@@ -108,14 +107,20 @@ def multinomial(n: int, parts: list[int]) -> int:
 # reports
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(_Frozen):
     """An exact bound value tagged with what it bounds."""
 
     kind: str
     k: int
     ell: int
     value: int
+    _fields = ("kind", "k", "ell", "value")
+
+    def __init__(self, kind: str, k: int, ell: int, value: int) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "ell", ell)
+        object.__setattr__(self, "value", value)
 
     def sci(self, digits: int = 4) -> str:
         mantissa, exponent = sci_parts(self.value, digits)

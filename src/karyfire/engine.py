@@ -19,13 +19,12 @@ import sys
 from array import array
 from bisect import insort
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from math import comb
 from operator import itemgetter
 
-from .tree import TreeShape, VertexId, layer, layer_start
+from .tree import TreeShape, VertexId, _Frozen, layer, layer_start
 
 
 class EngineError(Exception):
@@ -52,26 +51,26 @@ class WaveError(EngineError):
     """A wave schedule reached a vertex that was not ready to fire."""
 
 
-@dataclass(frozen=True)
-class FiringMove:
+class FiringMove(_Frozen):
     """One firing: a vertex plus the k+1 selected chip labels (kept sorted)."""
 
     vertex: VertexId
     selected: tuple[int, ...]
+    _fields = ("vertex", "selected")
 
-    def __post_init__(self) -> None:
-        sel = tuple(sorted(self.selected))
-        object.__setattr__(self, "selected", sel)
-        if self.vertex < 0:
-            raise ValueError(f"vertex index must be >= 0, got {self.vertex}")
+    def __init__(self, vertex: VertexId, selected: tuple[int, ...]) -> None:
+        sel = tuple(sorted(selected))
+        if vertex < 0:
+            raise ValueError(f"vertex index must be >= 0, got {vertex}")
         if len(set(sel)) != len(sel):
             raise ValueError(f"repeated chip in selection {sel}")
         if any(c < 1 for c in sel):
             raise ValueError(f"chip labels must be positive, got {sel}")
+        object.__setattr__(self, "vertex", vertex)
+        object.__setattr__(self, "selected", sel)
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(_Frozen):
     """Immutable placement of labeled chips.
 
     ``chips`` maps each occupied vertex to its ascending tuple of labels;
@@ -81,6 +80,11 @@ class Configuration:
 
     k: int
     chips: tuple[tuple[VertexId, tuple[int, ...]], ...]
+    _fields = ("k", "chips")
+
+    def __init__(self, k: int, chips: tuple[tuple[VertexId, tuple[int, ...]], ...]) -> None:
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "chips", chips)
 
     @classmethod
     def from_dict(cls, k: int, mapping: dict[VertexId, object]) -> "Configuration":
@@ -317,9 +321,7 @@ def _unlabeled_relax(k: int, counts: dict[VertexId, int]) -> tuple[dict[VertexId
             raise StepLimitError("step limit exceeded in unlabeled relaxation")
         v = work.popleft()
         queued.discard(v)
-        c = counts.get(v, 0)
-        if c <= k:
-            continue
+        c = counts[v]
         drop = k if v == 0 else k + 1
         t = -(-(c - k) // drop)  # fires needed to bring v down to <= k
         counts[v] = c - t * drop

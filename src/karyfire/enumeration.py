@@ -53,7 +53,6 @@ from __future__ import annotations
 import json
 from array import array
 from bisect import bisect
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, combinations, compress, repeat
 from math import comb
@@ -210,53 +209,63 @@ def _pack(states: set[int], width: int) -> bytearray:
 Level = dict[tuple[int, ...], set[int] | bytearray]
 
 
-@dataclass
 class _Search:
-    """Settings, counters and per-call caches of one level-by-level search."""
+    """Settings, counters and per-call caches of one level-by-level search.
 
-    shape: TreeShape
-    n_chips: int
-    reach: int  # the largest vertex a chip can occupy; a count vector has reach + 1 entries
-    bits: int
-    max_states: int
-    max_stable: int
-    endgame_shortcut: bool
-    # state -> (parent state, (vertex, selected ranks)), or (parent, None) when
-    # the state is the outcome of the parent's endgame collapse; None when off
-    witnesses: dict | None
-    stable: set[int] = field(default_factory=set)
-    deltas: dict[VertexId, _FireDeltas] = field(default_factory=dict)
-    # The final rows of the wave network, packed in lanes of `lane`, name the
-    # outcomes one to one.
-    outcomes: set[bytes] = field(default_factory=set)
-    # Endgame states queued since the last flush: their ranks grouped by
-    # vertex, back to back, and the states themselves.
-    pending: list[int] = field(default_factory=list)
-    born: list[int] = field(default_factory=list)
-    explored: int = 0
-    hits: int = 0
-    seen: int = 1  # distinct states found so far, the start included
-    level_widths: list[int] = field(default_factory=list)
-    truncated: bool = False
+    `reach` is the largest vertex a chip can occupy, so a count vector has
+    reach + 1 entries.
+    """
 
-    def __post_init__(self) -> None:
-        self.shifts = [r * self.bits for r in range(self.n_chips)]
-        self.width = (self.n_chips * self.bits + 7) // 8  # bytes per packed state
-        self.lane = lane_code(self.n_chips - 1)
+    def __init__(
+        self,
+        shape: TreeShape,
+        n_chips: int,
+        reach: int,
+        bits: int,
+        max_states: int,
+        max_stable: int,
+        endgame_shortcut: bool,
+        witnesses: dict | None,
+    ) -> None:
+        self.shape = shape
+        self.n_chips = n_chips
+        self.bits = bits
+        self.max_states = max_states
+        self.max_stable = max_stable
+        # state -> (parent state, (vertex, selected ranks)), or (parent, None) when
+        # the state is the outcome of the parent's endgame collapse; None when off
+        self.witnesses = witnesses
+        self.stable: set[int] = set()
+        self.deltas: dict[VertexId, _FireDeltas] = {}
+        # The final rows of the wave network, packed in lanes of `lane`, name the
+        # outcomes one to one.
+        self.outcomes: set[bytes] = set()
+        # Endgame states queued since the last flush: their ranks grouped by
+        # vertex, back to back, and the states themselves.
+        self.pending: list[int] = []
+        self.born: list[int] = []
+        self.explored = 0
+        self.hits = 0
+        self.seen = 1  # distinct states found so far, the start included
+        self.level_widths: list[int] = []
+        self.truncated = False
+        self.shifts = [r * bits for r in range(n_chips)]
+        self.width = (n_chips * bits + 7) // 8  # bytes per packed state
+        self.lane = lane_code(n_chips - 1)
         # N chips fill an endgame start for at most one ell, the one with
         # N = 1 + k * layer_start(ell): k+1 chips on the root and k on each
         # other vertex of layers 1..ell-1.  So one count vector and one wave
         # network serve the whole search; both are None with the shortcut off
         # or when no ell fits.
         self.endgame_counts = self.network = None
-        if self.endgame_shortcut:
-            k, ell = self.shape.k, 2
-            while 1 + k * layer_start(self.shape, ell) < self.n_chips:
+        if endgame_shortcut:
+            k, ell = shape.k, 2
+            while 1 + k * layer_start(shape, ell) < n_chips:
                 ell += 1
-            size = layer_start(self.shape, ell)
-            if 1 + k * size == self.n_chips:
-                self.endgame_counts = (k + 1, *repeat(k, size - 1), *repeat(0, self.reach + 1 - size))
-                self.network = WaveNetwork(self.shape, ell)
+            size = layer_start(shape, ell)
+            if 1 + k * size == n_chips:
+                self.endgame_counts = (k + 1, *repeat(k, size - 1), *repeat(0, reach + 1 - size))
+                self.network = WaveNetwork(shape, ell)
 
     def expand(self, level: Level) -> Level:
         """Explore every state of one level and return the next level.
@@ -310,7 +319,6 @@ class _Search:
                 else:
                     keys = [state >> s & mask for s in shifts]
                     wires = sorted(ranks, key=keys.__getitem__)
-                    hits += surplus
                     for v, lo, hi, shed, bucket, fire, births in fires:
                         if v:
                             sels = combinations(wires[lo:hi], k1)
@@ -332,6 +340,8 @@ class _Search:
                                 break
                         if seen > max_states:  # the limit ends this parent's other fires too
                             break
+                    else:  # every fire ran, so the root's one fire per shed set stood for all its selections
+                        hits += surplus
                     if len(born) >= _BATCH_LANES:
                         new, repeats = self.flush(seen)
                         explored += new
@@ -424,7 +434,6 @@ class _Search:
         return fires, surplus
 
 
-@dataclass
 class EnumerationResult:
     """Outcome of an exhaustive search from one starting configuration.
 
@@ -439,25 +448,41 @@ class EnumerationResult:
     the end of a level.  A truncated run stops after a state, during a
     fire (at the new state that exceeds `max_states`) or during a flush,
     so its partial counters are read at that boundary: a parent cut
-    during a fire has counted its surplus root selections as memo hits
-    but not its remaining successors, the outcomes of states queued since
-    the last flush are not counted, and a flush cut by a limit counts all
-    of its repeats as memo hits.  The counters of a complete run do not
-    depend on the batching.
+    during a fire has counted neither its remaining successors nor its
+    surplus root selections (those count as memo hits only once all its
+    fires have run), the outcomes of states queued since the last flush
+    are not counted, and a flush cut by a limit counts all of its repeats
+    as memo hits.  The counters of a complete run do not depend on the
+    batching.
     """
 
-    k: int
-    labels: tuple[int, ...]
-    start_key: int
-    stable_keys: frozenset[int]
-    states_explored: int
-    memo_hits: int
-    truncated: bool
-    max_states: int
-    max_stable: int
-    bits: int
-    level_widths: tuple[int, ...]
-    witnesses: dict | None = field(default=None, repr=False)
+    def __init__(
+        self,
+        k: int,
+        labels: tuple[int, ...],
+        start_key: int,
+        stable_keys: frozenset[int],
+        states_explored: int,
+        memo_hits: int,
+        truncated: bool,
+        max_states: int,
+        max_stable: int,
+        bits: int,
+        level_widths: tuple[int, ...],
+        witnesses: dict | None = None,
+    ) -> None:
+        self.k = k
+        self.labels = labels
+        self.start_key = start_key
+        self.stable_keys = stable_keys
+        self.states_explored = states_explored
+        self.memo_hits = memo_hits
+        self.truncated = truncated
+        self.max_states = max_states
+        self.max_stable = max_stable
+        self.bits = bits
+        self.level_widths = level_widths
+        self.witnesses = witnesses
 
     @cached_property
     def stable_set(self) -> frozenset[Configuration]:

@@ -17,20 +17,58 @@ child, slots floor(k/2)+1..k are *right* children.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 VertexId = int
 
 
-@dataclass(frozen=True)
-class TreeShape:
+class _Frozen:
+    """Base of the immutable value types.
+
+    Equality, hashing and repr run over the fields named in the class's
+    `_fields`, as a frozen dataclass has them: instances are equal only to
+    instances of the same class with equal fields, the hash is the hash of
+    the field tuple, and assigning or deleting an attribute raises
+    `AttributeError`.  Each subclass sets its fields in its own `__init__`
+    with `object.__setattr__` and keeps an instance `__dict__`, which
+    `functools.cached_property` needs.  The methods are written out, not
+    generated by `dataclasses`, whose import loads `inspect` and about ten
+    more modules into every fresh interpreter, and every command starts one.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class TreeShape(_Frozen):
     """Arity of the tree; k must be at least 2."""
 
     k: int
+    _fields = ("k",)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.k, int) or self.k < 2:
-            raise ValueError(f"arity must be an integer >= 2, got {self.k!r}")
+    def __init__(self, k: int) -> None:
+        if not isinstance(k, int) or k < 2:
+            raise ValueError(f"arity must be an integer >= 2, got {k!r}")
+        object.__setattr__(self, "k", k)
 
 
 def children(shape: TreeShape, v: VertexId) -> list[VertexId]:

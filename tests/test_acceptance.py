@@ -7,6 +7,7 @@ opt-in: set KARYFIRE_EXTENDED=1 to run it.
 """
 
 import collections
+import hashlib
 import itertools
 import os
 import resource
@@ -41,7 +42,7 @@ from karyfire.engine import (
     unlabeled_profile,
     unlabeled_simulate,
 )
-from karyfire.enumeration import count_stable, enumerate_stable, verify_endgame_confluence
+from karyfire.enumeration import canonical_key, count_stable, enumerate_stable, verify_endgame_confluence
 from karyfire.tree import TreeShape, layer, layer_start, straight_descendant
 
 S2 = TreeShape(2)
@@ -229,11 +230,24 @@ def test_criterion_12_extended_four_layer_enumeration():
             f"({len(result.stable_keys)} stable found) — not a pass"
         )
     z = len(result.stable_keys)
-    assert 936 <= z <= 18018000
+    assert z == 36220
+    keys = sorted(canonical_key(c) for c in result.stable_set)
+    assert hashlib.sha256(b"\n".join(keys)).hexdigest() == (
+        "91420381b9eb32e0b7de4b73cb5ac1fdcf7b6d95eaa4253f8f586cc5ad7920b1"
+    )
     for config in result.iter_stable():
-        assert check_ballot(config).holds, config
+        for check in (check_minmax_descendants, check_zigzag_relation, check_ballot):
+            assert check(config).holds, (check.__name__, config)
     count, witness = max_inversions(result, "inorder")
     assert count == 25, witness
+    count, witness = max_inversions(result, "children_first")
+    assert count == 38, witness
+    low, high = lower_bound_binary(4).value, binary_zigzag_bound(4, "Z").value
+    assert (low, high) == (936, 693000)
+    assert low <= z <= high
     peak_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
-    print(f"criterion 12: Z(2,4) = {z}, ballot holds everywhere, max inversions 25, peak RSS {peak_mib:.1f} MiB")
+    print(
+        f"criterion 12: Z(2,4) = {z} in [{low}, {high}], all three checks hold everywhere, "
+        f"max inversions 25 (inorder) and 38 (children first), peak RSS {peak_mib:.1f} MiB"
+    )
     assert peak_mib < 1000

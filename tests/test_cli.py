@@ -1,6 +1,7 @@
 """Command-line behavior: text output, JSON output, exit codes."""
 
 import contextlib
+import functools
 import io
 import json
 import os
@@ -12,8 +13,8 @@ from pathlib import Path
 import pytest
 
 import karyfire
-from karyfire import cli
-from karyfire.analysis import ConstructionError
+from karyfire import cli, enumeration
+from karyfire.analysis import ConstructionError, PropertyVerdict
 from karyfire.cli import main
 
 
@@ -177,6 +178,8 @@ def test_bounds_single_report_prints_the_bare_value():
         "3167841156480\n",
         "",
     )
+    assert run_cli(["bounds", "--k", "2", "--ell", "5", "--which", "lower-binary"]) == (0, "148936320\n", "")
+    assert run_cli(["bounds", "--k", "3", "--ell", "4", "--which", "lower-general"]) == (0, "177147\n", "")
 
 
 def test_bounds_all_binary():
@@ -272,6 +275,36 @@ def test_verify_json_payload():
     payload = json.loads(out)
     assert payload["checks"] == 6
     assert payload["failures"] == []
+
+
+def test_verify_reports_violations(monkeypatch):
+    checked = []
+
+    def violated(config):
+        checked.append(config.to_json_dict())
+        return PropertyVerdict("ballot", False, ((0, 1),))
+
+    monkeypatch.setattr(cli, "check_ballot", violated)
+    argv = ["verify", "--k", "2", "--ell", "3", "--property", "ballot"]
+    code, out, _ = run_cli([*argv, "--json"])
+    assert code == 1
+    failures = json.loads(out)["failures"]
+    assert len(failures) == 6
+    assert failures == [{"config": c, "property": "ballot", "holds": False, "witnesses": [[0, 1]]} for c in checked]
+    code, out, err = run_cli(argv)
+    assert code == 1
+    assert out == "property ballot at (2,3): 6 checks, 6 violated\n"
+    lines = err.splitlines()
+    assert len(lines) == 6 and all(line.startswith("violation: {") for line in lines)
+    assert json.loads(lines[0].removeprefix("violation: ")) == failures[0]
+
+
+def test_verify_exits_3_when_the_enumeration_is_truncated(monkeypatch):
+    monkeypatch.setattr(cli, "enumerate_stable", functools.partial(enumeration.enumerate_stable, max_states=5))
+    code, out, err = run_cli(["verify", "--k", "2", "--ell", "3", "--property", "minmax"])
+    assert code == 3
+    assert out == ""
+    assert "cannot verify the full stable set" in err
 
 
 # ---------------------------------------------------------------------------
@@ -402,3 +435,17 @@ def test_exit_code_three_from_subprocess():
         env=SUBPROCESS_ENV,
     )
     assert proc.returncode == 3
+
+
+@pytest.mark.parametrize("module", ["karyfire", "karyfire.cli"])
+def test_import_loads_neither_dataclasses_nor_inspect(module):
+    """Every command runs in a fresh interpreter, which pays for each module
+    the import pulls in.  Only the modules the import adds count, so an
+    interpreter whose start-up already loads one of them does not fail this."""
+    probe = f"import sys; before = set(sys.modules); import {module}; print(*sorted(set(sys.modules) - before))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=SUBPROCESS_ENV, check=True
+    )
+    added = set(proc.stdout.split())
+    assert module in added
+    assert not added & {"dataclasses", "inspect"}

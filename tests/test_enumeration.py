@@ -11,6 +11,8 @@ from functools import cache
 import pytest
 
 from karyfire import enumeration
+from karyfire.analysis import check_ballot, check_minmax_descendants, check_zigzag_relation
+from karyfire.bounds import lower_bound_general, zigzag_bound
 from karyfire.engine import (
     Configuration,
     fire,
@@ -222,6 +224,18 @@ def test_ternary_three_layers_counters(shortcut, counters):
     assert traced.level_widths == plain.level_widths
 
 
+def test_ternary_three_layers_structure():
+    """All three structural checks hold on every (3,3) outcome, and the exact
+    count lies between the general lower bound and the zigzag bound."""
+    result = three_layers(S3, True, False)
+    for config in result.iter_stable():
+        for check in (check_minmax_descendants, check_zigzag_relation, check_ballot):
+            assert check(config).holds, (check.__name__, config)
+    low, high = lower_bound_general(3, 3).value, zigzag_bound(3, 3).value
+    assert (low, len(result.stable_keys), high) == (9, 744, 369600)
+    assert low <= len(result.stable_keys) <= high
+
+
 def test_binary_four_layer_slice_counters():
     """A (2,4) start six root fires deep: child fires, root fires and the
     four-layer endgame collapse all run in one search."""
@@ -386,6 +400,28 @@ def test_state_limit_stops_a_parent_during_its_fire():
     assert result.truncated
     assert result.states_explored == 1
     assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("shape, ell, max_states", [(S2, 4, 10), (S2, 4, 90), (S3, 3, 100), (S2, 10, 10)])
+def test_a_parent_cut_during_its_fire_counts_only_the_successors_it_generated(monkeypatch, shape, ell, max_states):
+    """Each limit falls inside the start's root fire, whose successors are all
+    new.  The surplus root selections count as memo hits only once every fire
+    of the parent has run, so the partial memo hits stay within the successors
+    generated, one delta lookup each."""
+    generated = 0
+    lookup = enumeration._FireDeltas.__getitem__
+
+    def counting(deltas, sel):
+        nonlocal generated
+        generated += 1
+        return lookup(deltas, sel)
+
+    monkeypatch.setattr(enumeration._FireDeltas, "__getitem__", counting)
+    result = enumerate_stable(initial_config(shape, ell), max_states=max_states)
+    assert result.truncated
+    assert result.states_explored == 1
+    assert generated == max_states
+    assert result.memo_hits <= generated
 
 
 def test_truncation_by_stable_count():

@@ -2,6 +2,9 @@
 
 import pytest
 
+from karyfire.analysis import FlattenedPermutation, PropertyVerdict
+from karyfire.bounds import BoundReport
+from karyfire.engine import Configuration, FiringMove
 from karyfire.tree import (
     TreeShape,
     child_index,
@@ -169,3 +172,45 @@ def test_relative_index_roundtrip(k, ell):
                 assert rel is None, (top, v)
     assert relative_index(shape, 1, 1) == 0
     assert embed_vertex(shape, 1, 1) == k + 1
+
+
+@pytest.mark.parametrize(
+    "cls, fields, text",
+    [
+        (TreeShape, {"k": 2}, "TreeShape(k=2)"),
+        (FiringMove, {"vertex": 0, "selected": (1, 2, 3)}, "FiringMove(vertex=0, selected=(1, 2, 3))"),
+        (Configuration, {"k": 2, "chips": ((0, (1, 2)),)}, "Configuration(k=2, chips=((0, (1, 2)),))"),
+        (
+            PropertyVerdict,
+            {"property": "ballot", "holds": True, "witnesses": ()},
+            "PropertyVerdict(property='ballot', holds=True, witnesses=())",
+        ),
+        (
+            FlattenedPermutation,
+            {"sequence": (1, 2), "rule": "inorder"},
+            "FlattenedPermutation(sequence=(1, 2), rule='inorder')",
+        ),
+        (BoundReport, {"kind": "naive", "k": 2, "ell": 3, "value": 120}, "BoundReport(kind='naive', k=2, ell=3, value=120)"),
+    ],
+    ids=lambda x: x.__name__ if isinstance(x, type) else "",
+)
+def test_value_types_are_frozen_and_compare_by_their_fields(cls, fields, text):
+    """Equal to instances of the same class only, hashed as the field tuple
+    (so set order follows the fields), printed field by field, immutable."""
+    values = tuple(fields.values())
+    value = cls(*values)
+    assert value == cls(**fields)
+    assert hash(value) == hash(cls(**fields)) == hash(values)
+    assert repr(value) == text
+    assert value != values
+    assert type("Derived", (cls,), {})(*values) != value
+    for name in (*fields, "other"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert repr(value) == text
+
+
+def test_a_verdict_has_no_witnesses_by_default():
+    assert PropertyVerdict("ballot", True).witnesses == ()
