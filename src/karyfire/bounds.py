@@ -2,7 +2,10 @@
 
 Everything here is plain arbitrary-precision integer arithmetic: factorials,
 binomials, multinomials, and products of powers.  No floating point is used
-anywhere; scientific notation is produced by rounding the exact integer.
+anywhere; scientific notation is produced by rounding the exact integer,
+and the exact decimal by splitting the integer on powers of ten, so that
+every `str()` call stays under the interpreter's integer digit cap and the
+cap itself is never changed.
 
 The upper bounds come from decomposing the tree along root-anchored
 alternating (zigzag) paths; the binary-tree variants sharpen two factors.
@@ -12,7 +15,6 @@ of stabilizing strategies.
 
 from __future__ import annotations
 
-import sys
 from functools import lru_cache
 from math import comb, factorial, isqrt
 
@@ -122,6 +124,13 @@ class BoundReport(_Frozen):
         object.__setattr__(self, "ell", ell)
         object.__setattr__(self, "value", value)
 
+    def __repr__(self) -> str:
+        # the value goes through decimal_string: its repr could exceed the digit cap
+        return (
+            f"{type(self).__qualname__}(kind={self.kind!r}, k={self.k!r}, ell={self.ell!r}, "
+            f"value={decimal_string(self.value)})"
+        )
+
     def sci(self, digits: int = 4) -> str:
         mantissa, exponent = sci_parts(self.value, digits)
         return f"{mantissa}e{exponent}"
@@ -185,17 +194,26 @@ def sci_parts(value: int, digits: int = 4) -> tuple[str, int]:
     return (f"{head}.{tail:0{digits - 1}d}", e)
 
 
+# str() of a value of at most this many bits has at most 603 digits, below the
+# smallest digit cap the interpreter accepts (640), so it cannot fail.
+_STR_BITS = 2000
+
+
 def decimal_string(value: int) -> str:
-    """str(value), lifting the interpreter's digit cap for this conversion only."""
-    try:
+    """The digits of str(value), whatever the interpreter's digit cap.
+
+    Splits the value at 10**half, half being about half its digit count,
+    converts the two parts apart and zero-pads the low part to half digits;
+    only parts of at most `_STR_BITS` bits go to str().  The digit cap is
+    left alone.
+    """
+    if value < 0:
+        return "-" + decimal_string(-value)
+    if value.bit_length() <= _STR_BITS:
         return str(value)
-    except ValueError:
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(_floor_log10(abs(value)) + 10)
-        try:
-            return str(value)
-        finally:
-            sys.set_int_max_str_digits(limit)
+    half = value.bit_length() * 30103 // 200000
+    high, low = divmod(value, 10**half)
+    return decimal_string(high) + decimal_string(low).zfill(half)
 
 
 # ---------------------------------------------------------------------------

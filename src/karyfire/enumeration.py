@@ -146,19 +146,22 @@ class _FireDeltas(dict):
         return delta
 
 
-def _root_leavers(k: int, c: int) -> tuple[list[bool], int]:
+def _root_leavers(k: int, c: int) -> tuple[bytes, int]:
     """Which k-subsets of a root pile of c chips some root fire sheds, and how
     many of the comb(c, k+1) selections repeat one of them.
 
     A root fire keeps its median, so the selections that differ only in the
     median shed the same k chips.  A k-subset is shed when at least one chip
     of the pile lies strictly between its positions h-1 and h (h = k//2);
-    with g such chips, g selections shed it.  Returns one flag per k-subset
-    in `itertools.combinations` order and the number of surplus selections.
+    with g such chips, g selections shed it.  Returns one flag byte per
+    k-subset in `itertools.combinations` order and the number of surplus
+    selections.  The k-subsets that are not shed, with positions h-1 and h
+    adjacent, match the (k-1)-subsets of c-1 positions one to one, so the
+    surplus is comb(c, k+1) - comb(c, k) + comb(c-1, k-1).
     """
     h = k // 2
-    shed = [p[h] - p[h - 1] > 1 for p in combinations(range(c), k)]
-    return shed, comb(c, k + 1) - sum(shed)
+    shed = bytes(p[h] - p[h - 1] > 1 for p in combinations(range(c), k))
+    return shed, comb(c, k + 1) - comb(c, k) + comb(c - 1, k - 1)
 
 
 def _with_median(k: int, leavers: tuple[int, ...], pile: list[int]) -> tuple[int, ...]:

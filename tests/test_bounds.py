@@ -383,6 +383,33 @@ def test_decimal_string_matches_str(value):
     assert sys.get_int_max_str_digits() == limit
 
 
+# 640 is the smallest digit cap the interpreter accepts
+@pytest.mark.parametrize(
+    "value",
+    [
+        pytest.param(10**5000 + 7, id="10^5000+7"),
+        pytest.param(naive_bound(2, 12).value, id="naive(2,12)"),
+        pytest.param(0, id="0"),
+        pytest.param(-(10**5000 + 7), id="-(10^5000+7)"),
+    ],
+)
+def test_decimal_string_matches_str_under_the_smallest_digit_cap(value):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = str(value)
+        sys.set_int_max_str_digits(640)
+        assert decimal_string(value) == expected
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_bound_report_repr_prints_a_value_over_the_digit_cap():
+    report = naive_bound(2, 12)
+    assert repr(report) == f"BoundReport(kind='naive', k=2, ell=12, value={decimal_string(report.value)})"
+
+
 def test_bound_report_formatting():
     report = BoundReport("binary_Z", 2, 4, 693000)
     assert report.sci() == "6.930e5"

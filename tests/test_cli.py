@@ -2,6 +2,7 @@
 
 import contextlib
 import functools
+import hashlib
 import io
 import json
 import os
@@ -209,6 +210,33 @@ def test_bounds_binary_pair():
     code, out, _ = run_cli(["bounds", "--k", "2", "--ell", "4", "--which", "binary"])
     assert code == 0
     assert out.splitlines() == ["binary_T = 9009000 (9.009e6)", "binary_Z = 693000 (6.930e5)"]
+
+
+# every value at (2,13) is over 2,000 bits, so each is printed by splitting
+BOUNDS_2_13_SHA256 = "049086a1365ebe8d2196a228703a1731fb80a8eeded0e1ffaf9fa2b65acde066"
+
+
+def test_bounds_all_2_13_frozen():
+    code, out, _ = run_cli(["bounds", "--k", "2", "--ell", "13", "--which", "all"])
+    assert code == 0
+    assert len(out.encode()) == 111_628
+    assert hashlib.sha256(out.encode()).hexdigest() == BOUNDS_2_13_SHA256
+
+
+def test_bounds_never_sets_the_digit_cap(monkeypatch):
+    def refuse(limit):
+        raise AssertionError(f"digit cap set to {limit}")
+
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(sys, "set_int_max_str_digits", refuse)
+            code, out, _ = run_cli(["bounds", "--k", "2", "--ell", "13", "--which", "all"])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == BOUNDS_2_13_SHA256
 
 
 def test_bounds_usage_errors():

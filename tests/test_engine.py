@@ -312,6 +312,22 @@ def test_seeded_random_traces_frozen(shape, ell, seed, fires, digest):
     assert hashlib.sha256(format_script(trace).encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "shape,ell,fires,digest",
+    [
+        (S2, 9, 3084, "55661d892438f3c69ee1d9ae43396a2c1bfe380dba171d818982db018a931079"),
+        (S2, 10, 7181, "c0d314898dd1ead50442c7247afc708e88eabc2e185d7096713568adbb09b1ee"),
+        (S3, 6, 731, "05064f910ecdc9924765042af08757b23e095fe2bc104480a6efa04b28520a0f"),
+        (TreeShape(4), 5, 380, "0564e5e69dd0a105383e612f88790082ce9363df8e9995899379a5a0ed4c192f"),
+    ],
+)
+def test_lowest_traces_frozen(shape, ell, fires, digest):
+    """Whole `lowest` traces, as script text, stay byte for byte the same."""
+    _, trace = stabilize(initial_config(shape, ell), "lowest")
+    assert len(trace) == fires
+    assert hashlib.sha256(format_script(trace).encode()).hexdigest() == digest
+
+
 def test_script_errors():
     with pytest.raises(ScriptError, match="script illegal at step 0"):
         stabilize(initial_config(S2, 3), "script", script=[FiringMove(1, (1, 2, 3))])

@@ -2,7 +2,9 @@
 
 import hashlib
 import io
+import itertools
 import json
+import math
 import random
 import tracemalloc
 from collections import defaultdict
@@ -422,6 +424,18 @@ def test_a_parent_cut_during_its_fire_counts_only_the_successors_it_generated(mo
     assert result.states_explored == 1
     assert generated == max_states
     assert result.memo_hits <= generated
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_root_leavers_match_the_selections_they_stand_for(k):
+    """The flags mark the k-subsets that some root selection sheds (all but
+    its median, at sorted position k//2), and the closed-form surplus counts
+    the selections beyond one per shed subset."""
+    for c in range(k, 16):
+        shed, surplus = enumeration._root_leavers(k, c)
+        leavers = {sel[: k // 2] + sel[k // 2 + 1 :] for sel in itertools.combinations(range(c), k + 1)}
+        assert list(shed) == [p in leavers for p in itertools.combinations(range(c), k)]
+        assert surplus == math.comb(c, k + 1) - len(leavers) == math.comb(c, k + 1) - sum(shed)
 
 
 def test_truncation_by_stable_count():
