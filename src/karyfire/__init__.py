@@ -26,6 +26,7 @@ from .bounds import (
     binary_layer_factor_orderings,
     binary_zigzag_bound,
     construction_layer_factor,
+    construction_windows,
     euler_zigzag,
     lower_bound_binary,
     lower_bound_general,
@@ -47,6 +48,7 @@ from .engine import (
     StepLimitError,
     WaveError,
     endgame_start,
+    endgame_start_counts,
     fire,
     format_script,
     initial_config,
@@ -58,6 +60,7 @@ from .engine import (
     stabilize,
     unlabeled_fire_counts,
     unlabeled_profile,
+    unlabeled_relaxation,
     unlabeled_simulate,
 )
 from .enumeration import (

@@ -10,7 +10,7 @@ construction with its symmetry requirements checked at run time.
 
 from __future__ import annotations
 
-from .bounds import n_chips
+from .bounds import construction_windows, n_chips
 from .engine import (
     Configuration,
     EngineError,
@@ -245,15 +245,15 @@ def max_inversions(result, rule: str = "inorder") -> tuple[int, Configuration]:
 # lower-bound construction replay
 
 
-def _validated_choices(name: str, choices, count: int, lo: int, hi: int) -> tuple[int, ...]:
+def _validated_choices(name: str, choices, count: int, window: range) -> tuple[int, ...]:
     seq = tuple(choices)
     if len(seq) != count:
         raise ChoiceError(f"choice out of range: need {count} values for {name}, got {len(seq)}")
     if list(seq) != sorted(set(seq)):
         raise ChoiceError(f"choice out of range: {name} must be strictly ascending")
     for x in seq:
-        if not lo <= x <= hi:
-            raise ChoiceError(f"choice out of range: {name} value {x} not in [{lo}, {hi}]")
+        if x not in window:
+            raise ChoiceError(f"choice out of range: {name} value {x} not in [{window.start}, {window.stop - 1}]")
     return seq
 
 
@@ -262,9 +262,11 @@ def replay_lower_bound_construction(
 ) -> Configuration:
     """Run the explicit stabilization behind the lower bound and return its result.
 
-    Two scripted root fires plant `i` crossing chips on each side, the root
-    then fires symmetrically around the stationary chip until each child
-    holds a full subtree load, and the child subtrees play out in lockstep.
+    Two scripted root fires plant `i` crossing chips on each side, c and c'
+    taken from the windows of `construction_windows`, which
+    `construction_layer_factor` counts.  The root then fires symmetrically
+    around the stationary chip until each child holds a full subtree load,
+    and the child subtrees play out in lockstep.
     The children's games are one game on ranks: `lowest` picks by vertex
     index and rank order only, so children of equal size fire the same ranks
     at the same relative vertices.  Any failure of the symmetry requirements
@@ -275,11 +277,11 @@ def replay_lower_bound_construction(
         raise ValueError(f"need ell >= 3, got {ell}")
     n = n_chips(k, ell)
     lo, hi = k // 2, (k + 1) // 2
-    m = (n - 1) // k * lo + 1
     if not 0 <= i <= lo:
         raise ChoiceError(f"choice out of range: i must be in 0..{lo}, got {i}")
-    c = _validated_choices("c", c_choices, i, lo + 2, m - 1)
-    cp = _validated_choices("cprime", c_prime_choices, i, m + 1, n - 2 * hi + i - 1)
+    m, c_window, c_prime_window = construction_windows(k, ell, i)
+    c = _validated_choices("c", c_choices, i, c_window)
+    cp = _validated_choices("cprime", c_prime_choices, i, c_prime_window)
 
     piles = {0: list(range(1, n + 1))}
     _apply(k, piles, 0, tuple(range(1, lo + 2)) + c + tuple(range(n - hi + i + 1, n + 1)))

@@ -48,15 +48,6 @@ def euler_zigzag(ell: int) -> int:
     return row[-1]
 
 
-def _choose(n: int, i: int) -> int:
-    """Binomial coefficient with C(n, 0) = 1 always and C(n, i) = 0 for n < i."""
-    if i == 0:
-        return 1
-    if i < 0 or n < i:
-        return 0
-    return comb(n, i)
-
-
 def _primes_upto(n: int) -> list[int]:
     """All primes <= n, by a plain byte sieve."""
     if n < 2:
@@ -314,22 +305,29 @@ def binary_zigzag_bound(ell: int, which: str) -> BoundReport:
 # lower bounds
 
 
+def construction_windows(k: int, level: int, i: int) -> tuple[int, range, range]:
+    """The stationary chip m of one construction level and the windows of its
+    choices when i chip pairs cross the root: c takes i chips of the first
+    window (below m), c' takes i chips of the second (above m)."""
+    n = n_chips(k, level)
+    m = (n - 1) // k * (k // 2) + 1
+    return m, range(k // 2 + 2, m), range(m + 1, n - 2 * ((k + 1) // 2) + i)
+
+
 @lru_cache(maxsize=None)
 def construction_layer_factor(k: int, level: int) -> int:
     """Distinct outcomes one level of the explicit construction can produce.
 
     Sums, over how many chip pairs are steered across the root, the ways to
-    pick the crossing chips on each side.
+    pick the crossing chips in each window.
     """
     if level < 2:
         raise ValueError(f"need level >= 2, got {level}")
-    n = n_chips(k, level)
-    lo, hi = k // 2, (k + 1) // 2
-    base = n - 1
-    assert base % k == 0
-    left = base // k * lo - 1 - lo
-    right = base // k * hi - 1 - 2 * hi
-    return sum(_choose(left, i) * _choose(right + i, i) for i in range(lo + 1))
+    total = 0
+    for i in range(k // 2 + 1):
+        _, c, c_prime = construction_windows(k, level, i)
+        total += comb(len(c), i) * comb(len(c_prime), i)
+    return total
 
 
 def lower_bound_general(k: int, ell: int) -> BoundReport:

@@ -35,8 +35,8 @@ from .engine import (
     parse_script,
     random_endgame_start,
     stabilize,
-    unlabeled_fire_counts,
     unlabeled_profile,
+    unlabeled_relaxation,
     unlabeled_simulate,
 )
 from .enumeration import (
@@ -308,8 +308,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    shape = TreeShape(args.k)
-    counts = unlabeled_simulate(shape, args.chips)
+    counts, fires = unlabeled_relaxation(TreeShape(args.k), args.chips)
     if args.json:
         _emit_json(
             {
@@ -318,7 +317,7 @@ def cmd_oracle(args) -> int:
                 "k": args.k,
                 "chips": args.chips,
                 "counts": {str(v): c for v, c in sorted(counts.items())},
-                "fires": {str(v): c for v, c in sorted(unlabeled_fire_counts(shape, args.chips).items())},
+                "fires": {str(v): c for v, c in sorted(fires.items())},
             }
         )
     else:
@@ -337,9 +336,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, ell_required=True):
+    def common(p):
         p.add_argument("--k", type=int, required=True, help="tree arity (>= 2)")
-        p.add_argument("--ell", type=int, required=ell_required, help="number of layers to fill")
+        p.add_argument("--ell", type=int, required=True, help="number of layers to fill")
         p.add_argument("--json", action="store_true", help="machine-readable output")
 
     p = sub.add_parser("simulate", help="stabilize the root-loaded configuration")

@@ -20,7 +20,7 @@ from array import array
 from bisect import insort
 from collections import deque
 from functools import cached_property
-from itertools import combinations
+from itertools import accumulate, combinations, repeat
 from math import comb
 from operator import itemgetter
 
@@ -336,20 +336,22 @@ def _unlabeled_relax(k: int, counts: dict[VertexId, int]) -> tuple[dict[VertexId
     return {v: c for v, c in counts.items() if c}, fires
 
 
-def unlabeled_simulate(shape: TreeShape, n_chips: int) -> dict[VertexId, int]:
-    """Final per-vertex chip counts after stabilizing n unlabeled chips at the root."""
+def unlabeled_relaxation(shape: TreeShape, n_chips: int) -> tuple[dict[VertexId, int], dict[VertexId, int]]:
+    """Final per-vertex chip counts and fires per vertex after stabilizing
+    n unlabeled chips at the root."""
     if n_chips < 1:
         raise ValueError(f"need at least one chip, got {n_chips}")
-    final, _ = _unlabeled_relax(shape.k, {0: n_chips})
-    return final
+    return _unlabeled_relax(shape.k, {0: n_chips})
+
+
+def unlabeled_simulate(shape: TreeShape, n_chips: int) -> dict[VertexId, int]:
+    """Final per-vertex chip counts after stabilizing n unlabeled chips at the root."""
+    return unlabeled_relaxation(shape, n_chips)[0]
 
 
 def unlabeled_fire_counts(shape: TreeShape, n_chips: int) -> dict[VertexId, int]:
     """How many times each vertex fires while stabilizing n chips from the root."""
-    if n_chips < 1:
-        raise ValueError(f"need at least one chip, got {n_chips}")
-    _, fires = _unlabeled_relax(shape.k, {0: n_chips})
-    return fires
+    return unlabeled_relaxation(shape, n_chips)[1]
 
 
 def unlabeled_profile(shape: TreeShape, n_chips: int) -> list[int]:
@@ -376,22 +378,26 @@ def unlabeled_profile(shape: TreeShape, n_chips: int) -> list[int]:
 # endgame
 
 
-def endgame_start(shape: TreeShape, ell: int, config: Configuration) -> Configuration:
-    """Validate the shape that opens the endgame for ell layers.
-
-    The root must hold exactly k+1 chips, every vertex on layers 2..ell-1
-    exactly k, and nothing may sit on layer ell or below.  Labels are not
-    constrained.  Returns the configuration unchanged when valid.
-    """
+def endgame_start_counts(shape: TreeShape, ell: int) -> tuple[int, ...]:
+    """Chips per vertex of the shape that opens the endgame for ell layers:
+    k+1 on the root and k on every other vertex of layers 1..ell-1, for
+    vertices 0..layer_start(ell)-1; nothing sits deeper."""
     if ell < 2:
         raise ValueError(f"ell must be >= 2, got {ell}")
+    return (shape.k + 1, *repeat(shape.k, layer_start(shape, ell) - 1))
+
+
+def endgame_start(shape: TreeShape, ell: int, config: Configuration) -> Configuration:
+    """Validate the shape that opens the endgame for ell layers
+    (`endgame_start_counts`).  Labels are not constrained.  Returns the
+    configuration unchanged when valid.
+    """
+    expected = endgame_start_counts(shape, ell)
     if config.k != shape.k:
         raise ValueError(f"configuration arity {config.k} does not match shape {shape.k}")
-    k = shape.k
     counts = {v: len(pile) for v, pile in config.chips}
-    boundary = layer_start(shape, ell)
-    bad = [v for v in range(boundary) if counts.get(v, 0) != (k if v else k + 1)]
-    bad.extend(sorted(v for v in counts if v >= boundary))
+    bad = [v for v, want in enumerate(expected) if counts.get(v, 0) != want]
+    bad.extend(sorted(v for v in counts if v >= len(expected)))
     if bad:
         raise EndgameShapeError(f"not an endgame-start shape for ell={ell} (offending vertices {bad})")
     return config
@@ -438,9 +444,9 @@ class WaveNetwork:
         k = shape.k
         holding: dict[VertexId, list[int]] = {}
         width = 0
-        for v in range(layer_start(shape, ell)):
-            holding[v] = list(range(width, width + (k + 1 if v == 0 else k)))
-            width += len(holding[v])
+        for v, held in enumerate(endgame_start_counts(shape, ell)):
+            holding[v] = list(range(width, width + held))
+            width += held
         self.first, self.schedule = width, []
         for wave in range(1, ell):
             for v in range(layer_start(shape, ell - wave + 1)):
@@ -513,17 +519,11 @@ def run_waves(config: Configuration) -> Configuration:
 
 def random_endgame_start(shape: TreeShape, ell: int, seed: int) -> Configuration:
     """Endgame-start shape with labels 1..N dealt by a seeded shuffle."""
-    if ell < 2:
-        raise ValueError(f"ell must be >= 2, got {ell}")
-    n = layer_start(shape, ell + 1)
-    labels = list(range(1, n + 1))
+    counts = endgame_start_counts(shape, ell)
+    labels = list(range(1, sum(counts) + 1))
     _random.Random(seed).shuffle(labels)
-    chips: dict[VertexId, list[int]] = {0: labels[: shape.k + 1]}
-    pos = shape.k + 1
-    for v in range(1, layer_start(shape, ell)):
-        chips[v] = labels[pos : pos + shape.k]
-        pos += shape.k
-    return Configuration.from_dict(shape.k, chips)
+    ends = list(accumulate(counts, initial=0))
+    return Configuration.from_dict(shape.k, {v: labels[ends[v] : ends[v + 1]] for v in range(len(counts))})
 
 
 # ---------------------------------------------------------------------------

@@ -26,14 +26,14 @@ which vertices can fire, whether they are stable and which group each fire
 leads to, so all of that is worked out once per group.  A state is decoded
 once, into its ranks sorted by vertex; every pile is then a fixed slice of
 that list.  The chip count N alone fixes the one endgame shape the search
-can meet: k+1 chips on the root and k on every other vertex of layers
-1..ell-1, for the ell with N = 1 + k * layer_start(ell).  So the search
-builds that count vector and its wave network once, and a group has the
-endgame shape when its counts equal the vector.  An endgame-shaped state
-has one outcome, so with the shortcut on it is queued when it is born: a
-fixed gather per selection reads its ranks off its parent's list, and the
-search never decodes it.  Every pile of an endgame state feeds one
-wave fire, which sorts it, so the gather need not keep a pile in order.
+can meet, `endgame_start_counts(shape, ell)` for the ell with
+N = layer_start(ell + 1).  So the search builds that count vector and its
+wave network once, and a group has the endgame shape when its counts equal
+the vector.  An endgame-shaped state has one outcome, so with the shortcut
+on it is queued when it is born: a fixed gather per selection reads its
+ranks off its parent's list, and the search never decodes it.  Every pile
+of an endgame state feeds one wave fire, which sorts it, so the gather
+need not keep a pile in order.
 The queue is collapsed in batches, each in one lane-parallel run of the
 compiled wave network (`WaveNetwork.run_lanes`), between parents once it
 holds `_BATCH_LANES` states and at the end of every level; an endgame
@@ -65,6 +65,7 @@ from .engine import (
     WaveNetwork,
     _unlabeled_relax,
     destinations,
+    endgame_start_counts,
     initial_config,
     lane_code,
     run_waves,
@@ -155,13 +156,13 @@ def _root_leavers(k: int, c: int) -> tuple[bytes, int]:
     of the pile lies strictly between its positions h-1 and h (h = k//2);
     with g such chips, g selections shed it.  Returns one flag byte per
     k-subset in `itertools.combinations` order and the number of surplus
-    selections.  The k-subsets that are not shed, with positions h-1 and h
-    adjacent, match the (k-1)-subsets of c-1 positions one to one, so the
-    surplus is comb(c, k+1) - comb(c, k) + comb(c-1, k-1).
+    selections.  Lowering positions h.. by one maps the shed k-subsets one
+    to one onto the k-subsets of c-1 positions, so the surplus is
+    comb(c, k+1) - comb(c-1, k).
     """
     h = k // 2
     shed = bytes(p[h] - p[h - 1] > 1 for p in combinations(range(c), k))
-    return shed, comb(c, k + 1) - comb(c, k) + comb(c - 1, k - 1)
+    return shed, comb(c, k + 1) - comb(c - 1, k)
 
 
 def _with_median(k: int, leavers: tuple[int, ...], pile: list[int]) -> tuple[int, ...]:
@@ -213,31 +214,34 @@ Level = dict[tuple[int, ...], set[int] | bytearray]
 
 
 class _Search:
-    """Settings, counters and per-call caches of one level-by-level search.
+    """Settings, counters and per-call caches of one level-by-level search
+    from `config`.
 
-    `reach` is the largest vertex a chip can occupy, so a count vector has
-    reach + 1 entries.
+    States are packed with `bits` bits per chip, enough for `reach`, the
+    largest vertex a chip can occupy, so a count vector has reach + 1
+    entries.  The first level holds the start alone: `start_counts`
+    mapped to `{start_key}`.
     """
 
     def __init__(
         self,
-        shape: TreeShape,
-        n_chips: int,
-        reach: int,
-        bits: int,
+        config: Configuration,
         max_states: int,
         max_stable: int,
         endgame_shortcut: bool,
-        witnesses: dict | None,
+        record_witnesses: bool,
     ) -> None:
-        self.shape = shape
-        self.n_chips = n_chips
-        self.bits = bits
+        self.shape = shape = config.shape
+        self.labels = labels = config.labels()
+        self.n_chips = n_chips = len(labels)
+        reach = _check_reach(config)
+        self.bits = bits = max(reach, 1).bit_length()
+        self.start_key = _encode(config, labels, bits)
         self.max_states = max_states
         self.max_stable = max_stable
         # state -> (parent state, (vertex, selected ranks)), or (parent, None) when
         # the state is the outcome of the parent's endgame collapse; None when off
-        self.witnesses = witnesses
+        self.witnesses = {} if record_witnesses else None
         self.stable: set[int] = set()
         self.deltas: dict[VertexId, _FireDeltas] = {}
         # The final rows of the wave network, packed in lanes of `lane`, name the
@@ -256,19 +260,26 @@ class _Search:
         self.width = (n_chips * bits + 7) // 8  # bytes per packed state
         self.lane = lane_code(n_chips - 1)
         # N chips fill an endgame start for at most one ell, the one with
-        # N = 1 + k * layer_start(ell): k+1 chips on the root and k on each
-        # other vertex of layers 1..ell-1.  So one count vector and one wave
-        # network serve the whole search; both are None with the shortcut off
-        # or when no ell fits.
+        # N = layer_start(ell + 1).  So one count vector and one wave network
+        # serve the whole search; both are None with the shortcut off or
+        # when no ell fits.
         self.endgame_counts = self.network = None
         if endgame_shortcut:
-            k, ell = shape.k, 2
-            while 1 + k * layer_start(shape, ell) < n_chips:
+            ell = 2
+            while layer_start(shape, ell + 1) < n_chips:
                 ell += 1
-            size = layer_start(shape, ell)
-            if 1 + k * size == n_chips:
-                self.endgame_counts = (k + 1, *repeat(k, size - 1), *repeat(0, reach + 1 - size))
+            counts = endgame_start_counts(shape, ell)
+            if sum(counts) == n_chips:
+                self.endgame_counts = (*counts, *repeat(0, reach + 1 - len(counts)))
                 self.network = WaveNetwork(shape, ell)
+        start_counts = [0] * (reach + 1)
+        for v, pile in config.chips:
+            start_counts[v] = len(pile)
+        self.start_counts = tuple(start_counts)
+        if self.start_counts == self.endgame_counts:  # queued like a birth; the first flush collapses it
+            rank_of = {c: r for r, c in enumerate(labels)}
+            self.pending += (rank_of[c] for _, pile in config.chips for c in pile)
+            self.born.append(self.start_key)
 
     def expand(self, level: Level) -> Level:
         """Explore every state of one level and return the next level.
@@ -438,7 +449,8 @@ class _Search:
 
 
 class EnumerationResult:
-    """Outcome of an exhaustive search from one starting configuration.
+    """Outcome of an exhaustive search from one starting configuration,
+    read off the finished `_Search`.
 
     States are ints (see the module docstring) with `bits` bits per chip.
     `level_widths[d]` is the size of level d: the distinct states at depth d
@@ -459,33 +471,19 @@ class EnumerationResult:
     batching.
     """
 
-    def __init__(
-        self,
-        k: int,
-        labels: tuple[int, ...],
-        start_key: int,
-        stable_keys: frozenset[int],
-        states_explored: int,
-        memo_hits: int,
-        truncated: bool,
-        max_states: int,
-        max_stable: int,
-        bits: int,
-        level_widths: tuple[int, ...],
-        witnesses: dict | None = None,
-    ) -> None:
-        self.k = k
-        self.labels = labels
-        self.start_key = start_key
-        self.stable_keys = stable_keys
-        self.states_explored = states_explored
-        self.memo_hits = memo_hits
-        self.truncated = truncated
-        self.max_states = max_states
-        self.max_stable = max_stable
-        self.bits = bits
-        self.level_widths = level_widths
-        self.witnesses = witnesses
+    def __init__(self, search: _Search) -> None:
+        self.k = search.shape.k
+        self.labels = search.labels
+        self.start_key = search.start_key
+        self.stable_keys = frozenset(search.stable)
+        self.states_explored = search.explored
+        self.memo_hits = search.hits
+        self.truncated = search.truncated
+        self.max_states = search.max_states
+        self.max_stable = search.max_stable
+        self.bits = search.bits
+        self.level_widths = tuple(search.level_widths)
+        self.witnesses = search.witnesses
 
     @cached_property
     def stable_set(self) -> frozenset[Configuration]:
@@ -545,40 +543,11 @@ def enumerate_stable(
     endgame-shaped states straight to their unique stable outcome instead
     of expanding every interleaving.
     """
-    labels = config.labels()
-    reach = _check_reach(config)
-    bits = max(reach, 1).bit_length()
-    start = _encode(config, labels, bits)
-    witnesses = {} if record_witnesses else None
-    search = _Search(
-        config.shape, config.n_chips, reach, bits, max_states, max_stable, endgame_shortcut, witnesses
-    )
-    counts = [0] * (reach + 1)
-    for v, pile in config.chips:
-        counts[v] = len(pile)
-    counts = tuple(counts)
-    if counts == search.endgame_counts:  # queued like a birth; the first level's flush collapses it
-        rank_of = {c: r for r, c in enumerate(labels)}
-        search.pending += (rank_of[c] for _, pile in config.chips for c in pile)
-        search.born.append(start)
-    level = {counts: {start}}
+    search = _Search(config, max_states, max_stable, endgame_shortcut, record_witnesses)
+    level = {search.start_counts: {search.start_key}}
     while level and not search.truncated:
         level = search.expand(level)
-
-    return EnumerationResult(
-        k=config.k,
-        labels=labels,
-        start_key=start,
-        stable_keys=frozenset(search.stable),
-        states_explored=search.explored,
-        memo_hits=search.hits,
-        truncated=search.truncated,
-        max_states=max_states,
-        max_stable=max_stable,
-        bits=bits,
-        level_widths=tuple(search.level_widths),
-        witnesses=search.witnesses,
-    )
+    return EnumerationResult(search)
 
 
 def check_state_size(shape: TreeShape, ell: int) -> None:

@@ -19,6 +19,7 @@ from karyfire.analysis import (
     max_inversions,
     replay_lower_bound_construction,
 )
+from karyfire.bounds import construction_layer_factor
 from karyfire.engine import Configuration, initial_config, run_waves, stabilize
 from karyfire.enumeration import enumerate_stable
 from karyfire.tree import (
@@ -427,15 +428,16 @@ def test_stationary_chip_stays_at_the_root(k, ell, stationary):
 
 
 def all_replays(k, ell):
-    """Every legal (i, c, c') choice; windows mirror the documented ranges."""
+    """The outcome of every legal (i, c, c') choice, one per choice; the
+    windows mirror the documented ranges."""
     n = (k**ell - 1) // (k - 1)
     lo, hi = k // 2, (k + 1) // 2
     m = (n - 1) // k * lo + 1
-    outs = {replay_lower_bound_construction(k, ell, 0)}
+    outs = [replay_lower_bound_construction(k, ell, 0)]
     for i in range(1, lo + 1):
         for cs in itertools.combinations(range(lo + 2, m), i):
             for cps in itertools.combinations(range(m + 1, n - 2 * hi + i), i):
-                outs.add(replay_lower_bound_construction(k, ell, i, cs, cps))
+                outs.append(replay_lower_bound_construction(k, ell, i, cs, cps))
     return outs
 
 
@@ -463,6 +465,14 @@ def test_every_choice_gives_a_distinct_outcome_quaternary():
     assert len(outs) == 484
     assert {config.at(0) for config in outs} == {(11,)}
     assert sha256_of_sorted_json(outs) == "e4339ea20a2f27f97f49cba94e5bfd2393837997f8072dcd5e754279921afd30"
+
+
+@pytest.mark.parametrize("k,ell", [(2, 4), (3, 3), (4, 3), (2, 5), (3, 4), (5, 3)])
+def test_every_choice_gives_a_distinct_outcome_the_bound_counts(k, ell):
+    """One level of the lower bound counts exactly the replay's choices, and
+    no two choices reach the same outcome."""
+    outs = all_replays(k, ell)
+    assert len(outs) == len(set(outs)) == construction_layer_factor(k, ell)
 
 
 @pytest.mark.parametrize(

@@ -15,6 +15,7 @@ from karyfire.bounds import (
     binary_layer_factor_orderings,
     binary_zigzag_bound,
     construction_layer_factor,
+    construction_windows,
     decimal_string,
     euler_zigzag,
     lower_bound_binary,
@@ -241,6 +242,13 @@ def test_construction_layer_factor_reconstruction(k, level):
         right = math.comb(base * hi - 1 - 2 * hi + i, i) if base * hi - 1 - 2 * hi + i >= i else 0
         expected += (left if i else 1) * (right if i else 1)
     assert construction_layer_factor(k, level) == expected
+
+
+def test_construction_windows_frozen():
+    assert construction_windows(2, 3, 0) == (4, range(3, 4), range(5, 5))
+    assert construction_windows(2, 4, 1) == (8, range(3, 8), range(9, 14))
+    assert construction_windows(4, 3, 2) == (11, range(4, 11), range(12, 19))
+    assert construction_windows(3, 2, 1) == (2, range(3, 2), range(3, 1))  # both empty
 
 
 def test_binary_layer_factor_closed_form():

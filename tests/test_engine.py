@@ -20,6 +20,7 @@ from karyfire.engine import (
     WaveNetwork,
     destinations,
     endgame_start,
+    endgame_start_counts,
     fire,
     format_script,
     initial_config,
@@ -32,6 +33,7 @@ from karyfire.engine import (
     stabilize,
     unlabeled_fire_counts,
     unlabeled_profile,
+    unlabeled_relaxation,
     unlabeled_simulate,
 )
 from karyfire.tree import TreeShape, layer, layer_size, layer_start, straight_descendant
@@ -548,6 +550,29 @@ def test_random_endgame_start():
     endgame_start(S2, 4, a)
     assert a.labels() == tuple(range(1, 16))
     assert random_endgame_start(S2, 4, 6) != a
+
+
+def test_endgame_start_counts():
+    assert endgame_start_counts(S2, 2) == (3,)
+    assert endgame_start_counts(S2, 3) == (3, 2, 2)
+    assert endgame_start_counts(S3, 3) == (4, 3, 3, 3)
+    with pytest.raises(ValueError, match="ell must be >= 2"):
+        endgame_start_counts(S2, 1)
+
+
+def test_random_endgame_start_deals_in_vertex_order():
+    assert random_endgame_start(S2, 3, 0).as_dict() == {0: (2, 3, 5), 1: (1, 6), 2: (4, 7)}
+    assert random_endgame_start(S3, 3, 4).as_dict() == {
+        0: (9, 11, 12, 13), 1: (1, 6, 10), 2: (3, 7, 8), 3: (2, 4, 5)
+    }
+    with pytest.raises(ValueError, match="ell must be >= 2"):
+        random_endgame_start(S2, 1, 0)
+
+
+@pytest.mark.parametrize("k,chips", [(2, 7), (2, 100), (3, 1000), (4, 1)])
+def test_one_relaxation_gives_counts_and_fires(k, chips):
+    shape = TreeShape(k)
+    assert unlabeled_relaxation(shape, chips) == (unlabeled_simulate(shape, chips), unlabeled_fire_counts(shape, chips))
 
 
 # ---------------------------------------------------------------------------

@@ -436,6 +436,7 @@ def test_root_leavers_match_the_selections_they_stand_for(k):
         leavers = {sel[: k // 2] + sel[k // 2 + 1 :] for sel in itertools.combinations(range(c), k + 1)}
         assert list(shed) == [p in leavers for p in itertools.combinations(range(c), k)]
         assert surplus == math.comb(c, k + 1) - len(leavers) == math.comb(c, k + 1) - sum(shed)
+        assert sum(shed) == math.comb(c - 1, k)
 
 
 def test_truncation_by_stable_count():
