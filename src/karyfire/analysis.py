@@ -174,25 +174,18 @@ def check_ballot(config: Configuration) -> PropertyVerdict:
 # flattening
 
 
-def flatten(config: Configuration, rule: str = "inorder") -> FlattenedPermutation:
-    """Read a one-chip-per-vertex configuration into a permutation.
-
-    The inorder rule emits each vertex between its left and right halves of
-    children (the left-to-right reading of the plane tree); children_first
-    emits all child subtrees before the vertex itself.
-    """
+def _reading_order(k: int, rule: str, vertices: tuple[VertexId, ...]) -> list[int]:
+    """The positions in `vertices` in the reading order of `rule` (see
+    `flatten`).  It depends only on the occupied vertices, so a scan over
+    many configurations computes it once per set of them."""
     if rule not in ("inorder", "children_first"):
         raise ValueError(f"unknown flattening rule {rule!r}")
-    piles = config.as_dict()
-    for v, pile in piles.items():
-        if len(pile) > 1:
-            raise ValueError(f"vertex with multiple chips: {v} holds {list(pile)}")
-    k = config.k
     up = k // 2 if rule == "inorder" else k  # slots above this read after the vertex
 
-    def position(v: VertexId) -> list[int]:
+    def position(i: int) -> list[int]:
         # slot digits from the root down, then the vertex's own place, up + 1,
         # which the slots above `up` step over
+        v = vertices[i]
         digits = [up + 1]
         while v:
             slot = (v - 1) % k + 1
@@ -200,7 +193,27 @@ def flatten(config: Configuration, rule: str = "inorder") -> FlattenedPermutatio
             v = (v - 1) // k
         return digits[::-1]
 
-    return FlattenedPermutation(tuple(c for v in sorted(piles, key=position) for c in piles[v]), rule)
+    return sorted(range(len(vertices)), key=position)
+
+
+def _read(config: Configuration, rule: str, order: list[int]) -> FlattenedPermutation:
+    """The chips of a one-chip-per-vertex configuration in `order`, the
+    `_reading_order` of its occupied vertices."""
+    chips = config.chips
+    for v, pile in chips:
+        if len(pile) > 1:
+            raise ValueError(f"vertex with multiple chips: {v} holds {list(pile)}")
+    return FlattenedPermutation(tuple(chips[i][1][0] for i in order), rule)
+
+
+def flatten(config: Configuration, rule: str = "inorder") -> FlattenedPermutation:
+    """Read a one-chip-per-vertex configuration into a permutation.
+
+    The inorder rule emits each vertex between its left and right halves of
+    children (the left-to-right reading of the plane tree); children_first
+    emits all child subtrees before the vertex itself.
+    """
+    return _read(config, rule, _reading_order(config.k, rule, config.occupied()))
 
 
 def inversions(perm) -> int:
@@ -232,8 +245,13 @@ def max_inversions(result, rule: str = "inorder") -> tuple[int, Configuration]:
     if result.truncated:
         raise ValueError("cannot scan a truncated enumeration")
     best: tuple[int, Configuration] | None = None
+    orders: dict[tuple[VertexId, ...], list[int]] = {}  # one reading order per set of occupied vertices
     for config in result.iter_stable():
-        count = inversions(flatten(config, rule))
+        vertices = config.occupied()
+        order = orders.get(vertices)
+        if order is None:
+            order = orders[vertices] = _reading_order(config.k, rule, vertices)
+        count = inversions(_read(config, rule, order))
         if best is None or count > best[0]:
             best = (count, config)
     if best is None:

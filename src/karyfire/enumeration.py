@@ -23,17 +23,30 @@ first.  The endgame group (below) is only counted, so it stays a set.
 
 A level is grouped by chip-count vector.  The states of one group share
 which vertices can fire, whether they are stable and which group each fire
-leads to, so all of that is worked out once per group.  A state is decoded
-once, into its ranks sorted by vertex; every pile is then a fixed slice of
-that list.  The chip count N alone fixes the one endgame shape the search
+leads to, so all of that is worked out once per group.  A state is not
+decoded to fire it.  A lane test (Lamport, *Multiple byte processing with
+full-word instructions*, 1975) finds the pile at v straight from the packed
+int: with x = state ^ (v in every lane), `~((x & low) + low | x) & guards`
+sets the guard (top) bit of exactly the lanes that hold v, in five int
+operations for any b.  That mask names the pile, and per vertex it keys a
+fire table: the deltas of all the pile's fires in `itertools.combinations`
+order.  A table is built on the first state with that pile, in chunks that
+start at `_FIRST_CHUNK` deltas and double, so a run cut after a few states
+builds little more than it reads.  The successors of a fire are looked up
+in the next level in C (`compress`, `map`, `set.__contains__`), and only
+the new ones run Python code: the insert, the witness and the birth.  A
+witness reads its selection off the lanes in which parent and successor
+differ.  The chip count N alone fixes the one endgame shape the search
 can meet, `endgame_start_counts(shape, ell)` for the ell with
 N = layer_start(ell + 1).  So the search builds that count vector and its
 wave network once, and a group has the endgame shape when its counts equal
 the vector.  An endgame-shaped state has one outcome, so with the shortcut
 on it is queued when it is born: a fixed gather per selection reads its
-ranks off its parent's list, and the search never decodes it.  Every pile
-of an endgame state feeds one wave fire, which sorts it, so the gather
-need not keep a pile in order.
+ranks off its parent's ranks sorted by vertex, which is the one decode
+the search makes, and only for a parent with a new endgame successor; the
+search never decodes the endgame state itself.  Every pile of an endgame
+state feeds one wave fire, which sorts it, so the gather need not keep a
+pile in order.
 The queue is collapsed in batches, each in one lane-parallel run of the
 compiled wave network (`WaveNetwork.run_lanes`), between parents once it
 holds `_BATCH_LANES` states and at the end of every level; an endgame
@@ -52,12 +65,11 @@ from __future__ import annotations
 
 import json
 from array import array
-from bisect import bisect
 from functools import cached_property
-from itertools import accumulate, combinations, compress, repeat
+from itertools import accumulate, chain, combinations, compress, count, islice, repeat
 from math import comb
-from operator import itemgetter, lshift
-from typing import IO, Iterator
+from operator import itemgetter, lshift, not_
+from typing import IO, Iterable, Iterator
 
 from .engine import (
     Configuration,
@@ -126,25 +138,100 @@ def _check_reach(config: Configuration) -> int:
     return reach
 
 
+def _lane_masks(n_chips: int, bits: int) -> tuple[int, int, int]:
+    """Masks over the `n_chips` lanes of `bits` bits each: the lowest bit of
+    every lane, the bits below each lane's top bit, and each top (guard) bit."""
+    ones = ((1 << (n_chips * bits)) - 1) // ((1 << bits) - 1)
+    return ones, ones * ((1 << (bits - 1)) - 1), ones << (bits - 1)
+
+
+def _zero_lanes(x: int, low: int, guards: int) -> int:
+    """The guard bit of every lane of `x` that is zero (Lamport, *Multiple
+    byte processing with full-word instructions*, 1975).
+
+    `(x & low) + low` carries into a lane's guard bit exactly when the lane
+    has a bit set below it and never past the lane; `| x` adds the guard
+    bit itself.  With `x = state ^ v * ones` the result marks the chips at v.
+    """
+    return ~((x & low) + low | x) & guards
+
+
+def _guard_ranks(marks: int, bits: int) -> list[int]:
+    """The ranks, ascending, whose lane has its guard bit set in `marks`."""
+    return [r for r, bit in enumerate(bin(marks)[:1:-1][bits - 1 :: bits]) if bit == "1"]
+
+
+# The first chunk of a fire table; each later chunk doubles the table.  A run
+# cut after a few states builds little more than it reads, and at (2,13) a
+# delta is an int of about 13 KB.
+_FIRST_CHUNK = 16
+
+
+class _FireTable(list):
+    """The deltas of every fire of one pile, in `itertools.combinations`
+    order.  `rest` yields the deltas not built yet, and is None once the
+    table is complete; `read` builds them a chunk at a time as it reaches
+    them."""
+
+    __slots__ = ("rest",)
+
+    def __init__(self, rest: Iterator[int]) -> None:
+        super().__init__()
+        self.rest: Iterator[int] | None = rest
+
+    def read(self) -> Iterator[int]:
+        """Every delta of the table, building the chunks not yet built."""
+        return chain.from_iterable(self._chunks())
+
+    def _chunks(self) -> Iterator[Iterable[int]]:
+        """The deltas built so far, then each chunk once it is built."""
+        yield islice(self, len(self))
+        while self.rest is not None:
+            want = max(len(self), _FIRST_CHUNK)
+            chunk = list(islice(self.rest, want))
+            self += chunk
+            if len(chunk) < want:
+                self.rest = None
+            yield chunk
+
+
 class _FireDeltas(dict):
-    """Ascending ranks -> what firing them at vertex v adds to a state.
+    """Ascending ranks -> what firing them at vertex v adds to a state, and
+    the fire tables of the piles met at v.
 
     The key holds the k+1 selected ranks, except at the root: the root keeps
     its median, so there the key holds only the k ranks that leave.  Entries
-    are computed on first use.
+    are computed on first use.  A pile is named by its guard mask, the guard
+    bits of the lanes that hold v, which `_zero_lanes(state ^ spread, ...)`
+    reads straight off a packed state.  `tables` maps a guard mask to the
+    `_FireTable` of that pile: its deltas, one per selection, taken from this
+    dict so that piles sharing a selection share its int.
     """
 
-    def __init__(self, k: int, v: VertexId, bits: int) -> None:
+    def __init__(self, k: int, v: VertexId, bits: int, ones: int) -> None:
         super().__init__()
         self.dests = list(destinations(k, v))
         if v == 0:
             del self.dests[k // 2]
         self.steps = [d - v for d in self.dests]
+        self.v = v
         self.bits = bits
+        self.spread = v * ones
+        self.tables: dict[int, _FireTable] = {}
 
     def __missing__(self, sel: tuple[int, ...]) -> int:
         delta = self[sel] = sum(step << (r * self.bits) for r, step in zip(sel, self.steps))
         return delta
+
+    def table(self, pile: int, shed: bytes | None) -> _FireTable:
+        """A new, empty fire table for the pile with guard mask `pile`, kept
+        in `tables`; at the root, `shed` holds the `_root_leavers` flags of
+        the pile's size."""
+        sels = combinations(_guard_ranks(pile, self.bits), len(self.dests))
+        if shed is not None:
+            sels = compress(sels, shed)
+        table = self.tables[pile] = _FireTable(map(self.__getitem__, sels))
+        return table
 
 
 def _root_leavers(k: int, c: int) -> tuple[bytes, int]:
@@ -165,12 +252,13 @@ def _root_leavers(k: int, c: int) -> tuple[bytes, int]:
     return shed, comb(c, k + 1) - comb(c - 1, k)
 
 
-def _with_median(k: int, leavers: tuple[int, ...], pile: list[int]) -> tuple[int, ...]:
+def _with_median(k: int, leavers: list[int], pile: int, bits: int) -> tuple[int, ...]:
     """The lexicographically first root selection that sheds `leavers`:
-    they plus the smallest rank of the ascending `pile` between positions
-    h-1 and h of `leavers` (h = k//2)."""
+    they plus the smallest rank of the pile with guard mask `pile` above
+    position h-1 of `leavers` (h = k//2)."""
     h = k // 2
-    median = pile[bisect(pile, leavers[h - 1])]
+    above = pile >> (leavers[h - 1] + 1) * bits  # the pile's lanes above that rank, from lane 0
+    median = leavers[h - 1] + (above & -above).bit_length() // bits
     return (*leavers[:h], median, *leavers[h:])
 
 
@@ -257,6 +345,7 @@ class _Search:
         self.level_widths: list[int] = []
         self.truncated = False
         self.shifts = [r * bits for r in range(n_chips)]
+        self.ones, self.low, self.guards = _lane_masks(n_chips, bits)
         self.width = (n_chips * bits + 7) // 8  # bytes per packed state
         self.lane = lane_code(n_chips - 1)
         # N chips fill an endgame start for at most one ell, the one with
@@ -304,9 +393,8 @@ class _Search:
         for counts, states in level.items():
             if counts != self.endgame_counts:
                 level[counts] = _pack(states, width)
-        k = self.shape.k
-        k1 = k + 1
         mask = (1 << self.bits) - 1
+        low, guards = self.low, self.guards
         ranks = range(self.n_chips)
         shifts = self.shifts
         stable, witnesses, pending, born = self.stable, self.witnesses, self.pending, self.born
@@ -331,31 +419,39 @@ class _Search:
                     else:
                         stable.add(state)
                 else:
-                    keys = [state >> s & mask for s in shifts]
-                    wires = sorted(ranks, key=keys.__getitem__)
-                    for v, lo, hi, shed, bucket, fire, births in fires:
-                        if v:
-                            sels = combinations(wires[lo:hi], k1)
-                        else:
-                            sels = compress(combinations(wires[:hi], k), shed)
-                        for sel, birth in zip(sels, births):
-                            succ = state + fire[sel]
-                            if succ in bucket:
-                                hits += 1
-                                continue
-                            bucket.add(succ)
+                    wires = None
+                    add = state.__add__
+                    first = seen
+                    tried = 0  # selections whose successors were looked up
+                    for fire, spread, tables, shed, known, insert, births in fires:
+                        x = state ^ spread
+                        pile = ~((x & low) + low | x) & guards  # _zero_lanes, inlined
+                        table = tables.get(pile)
+                        if table is None:
+                            table = fire.table(pile, shed)
+                        deltas = table if table.rest is None else table.read()
+                        for i in compress(count(), map(not_, map(known, map(add, deltas)))):
+                            succ = state + table[i]
+                            insert(succ)
                             seen += 1
                             if witnesses is not None:
-                                witnesses[succ] = (state, (v, sel if v else _with_median(k, sel, wires[:hi])))
-                            if birth:
-                                pending += birth(wires)
+                                witnesses[succ] = (state, self._selection(fire, pile, state, succ))
+                            if births is not None:
+                                if wires is None:  # decoded only for a birth
+                                    keys = [state >> s & mask for s in shifts]
+                                    wires = sorted(ranks, key=keys.__getitem__)
+                                pending += births[i](wires)
                                 born.append(succ)
-                            if seen > max_states:
+                            if seen > max_states:  # the limit ends this parent's other fires too
+                                tried += i + 1
                                 break
-                        if seen > max_states:  # the limit ends this parent's other fires too
-                            break
+                        else:
+                            tried += len(table)
+                            continue
+                        break
                     else:  # every fire ran, so the root's one fire per shed set stood for all its selections
                         hits += surplus
+                    hits += tried - (seen - first)
                     if len(born) >= _BATCH_LANES:
                         new, repeats = self.flush(seen)
                         explored += new
@@ -415,13 +511,14 @@ class _Search:
         """What every state with these non-endgame chip counts does, worked out once.
 
         Returns the fires and the surplus root selections that each state
-        counts as memo hits.  A fire is (vertex, the slice of its pile in the
-        ranks sorted by vertex, the `_root_leavers` flags at the root, the
-        next-level set it feeds, its deltas, its births).  The births say,
-        per selection, how to collapse a new successor: when the fire leads
-        to `endgame_counts`, each is a gather of the successor's ranks
-        grouped by vertex off the parent's ranks sorted by vertex; otherwise
-        each is None.  Stable counts give no fires.
+        counts as memo hits.  A fire is (the `_FireDeltas` of its vertex, its
+        `spread` and its `tables`, the `_root_leavers` flags at the root, the
+        `__contains__` and `add` of the next-level set it feeds, its births).
+        When the fire leads to `endgame_counts`, its births say,
+        per selection in fire-table order, how to collapse a new successor:
+        each is a gather of the successor's ranks grouped by vertex off the
+        parent's ranks sorted by vertex.  Otherwise the births are None.
+        Stable counts give no fires.
         """
         k = self.shape.k
         starts = list(accumulate(counts, initial=0))
@@ -438,14 +535,34 @@ class _Search:
                 shed, surplus = _root_leavers(k, counts[0])
             fire = self.deltas.get(v)
             if fire is None:
-                fire = self.deltas[v] = _FireDeltas(k, v, self.bits)
-            births = repeat(None)
+                fire = self.deltas[v] = _FireDeltas(k, v, self.bits, self.ones)
+            births = None
             if after == self.endgame_counts:
                 births = _births(starts, v, fire.dests)
                 if v == 0:
                     births = list(compress(births, shed))
-            fires.append((v, starts[v], starts[v + 1], shed, nxt.setdefault(after, set()), fire, births))
+            bucket = nxt.setdefault(after, set())
+            fires.append((fire, fire.spread, fire.tables, shed, bucket.__contains__, bucket.add, births))
         return fires, surplus
+
+    def _selection(self, fire: _FireDeltas, pile: int, state: int, succ: int) -> tuple[VertexId, tuple[int, ...]]:
+        """The witness move of the fire that leads from `state` to `succ`.
+
+        The selected ranks are the lanes in which the two states differ, read
+        off their guard bits one at a time, since only k+1 lanes differ.  At
+        the root, where the median stays, `_with_median` adds the median of
+        the first selection from the pile with guard mask `pile`.
+        """
+        guards, bits = self.guards, self.bits
+        lanes = guards ^ _zero_lanes(state ^ succ, self.low, guards)
+        moved = []
+        while lanes:
+            bit = lanes & -lanes
+            moved.append(bit.bit_length() // bits - 1)
+            lanes ^= bit
+        if fire.v:
+            return fire.v, tuple(moved)
+        return 0, _with_median(self.shape.k, moved, pile, bits)
 
 
 class EnumerationResult:

@@ -375,6 +375,18 @@ def test_max_inversions_small_binary():
     assert max_inversions(result, "children_first")[0] == 7
 
 
+def test_max_inversions_reads_each_outcome_as_flatten_does():
+    """On the (2,4) slice of the enumerate-k2 benchmark, the scan that reads
+    every outcome in one reading order per set of occupied vertices finds the
+    count and the canonically first witness that `flatten` gives."""
+    start = Configuration.from_dict(2, {0: [12, 14, 15], 1: [1, 2, 4, 6, 8, 10], 2: [3, 5, 7, 9, 11, 13]})
+    result = enumerate_stable(start)
+    for rule, expected in (("inorder", 22), ("children_first", 34)):
+        best = max(result.iter_stable(), key=lambda config: inversions(flatten(config, rule)))
+        assert max_inversions(result, rule) == (expected, best)
+        assert inversions(flatten(best, rule)) == expected
+
+
 def test_max_inversions_singleton():
     result = enumerate_stable(Configuration.from_dict(2, {0: [1]}))
     assert max_inversions(result) == (0, Configuration.from_dict(2, {0: [1]}))

@@ -17,6 +17,7 @@ from karyfire.analysis import check_ballot, check_minmax_descendants, check_zigz
 from karyfire.bounds import lower_bound_general, zigzag_bound
 from karyfire.engine import (
     Configuration,
+    destinations,
     fire,
     initial_config,
     lane_code,
@@ -407,23 +408,26 @@ def test_state_limit_stops_a_parent_during_its_fire():
 @pytest.mark.parametrize("shape, ell, max_states", [(S2, 4, 10), (S2, 4, 90), (S3, 3, 100), (S2, 10, 10)])
 def test_a_parent_cut_during_its_fire_counts_only_the_successors_it_generated(monkeypatch, shape, ell, max_states):
     """Each limit falls inside the start's root fire, whose successors are all
-    new.  The surplus root selections count as memo hits only once every fire
-    of the parent has run, so the partial memo hits stay within the successors
-    generated, one delta lookup each."""
+    new, so no memo hit is counted.  The surplus root selections count as memo
+    hits only once every fire of the parent has run, so the partial memo hits
+    stay within the successors generated.  A successor is generated when it
+    is looked up in a set of the next level; the sets of the search are
+    swapped for ones that count those lookups."""
     generated = 0
-    lookup = enumeration._FireDeltas.__getitem__
 
-    def counting(deltas, sel):
-        nonlocal generated
-        generated += 1
-        return lookup(deltas, sel)
+    class CountingSet(set):
+        def __contains__(self, item):
+            nonlocal generated
+            generated += 1
+            return super().__contains__(item)
 
-    monkeypatch.setattr(enumeration._FireDeltas, "__getitem__", counting)
+    monkeypatch.setattr(enumeration, "set", CountingSet, raising=False)
     result = enumerate_stable(initial_config(shape, ell), max_states=max_states)
     assert result.truncated
     assert result.states_explored == 1
     assert generated == max_states
     assert result.memo_hits <= generated
+    assert result.memo_hits == 0
 
 
 @pytest.mark.parametrize("k", range(2, 7))
@@ -437,6 +441,140 @@ def test_root_leavers_match_the_selections_they_stand_for(k):
         assert list(shed) == [p in leavers for p in itertools.combinations(range(c), k)]
         assert surplus == math.comb(c, k + 1) - len(leavers) == math.comb(c, k + 1) - sum(shed)
         assert sum(shed) == math.comb(c - 1, k)
+
+
+@pytest.mark.parametrize("bits", range(1, 17))
+def test_lane_test_marks_the_chips_at_a_vertex(bits):
+    """`_zero_lanes(state ^ v * ones, ...)` sets the guard bit of exactly
+    the lanes that hold v, checked against a plain decode on random states,
+    and `_guard_ranks` reads those lanes back."""
+    rng = random.Random(bits)
+    top = (1 << bits) - 1
+    for n in (1, 2, 15, 40):
+        ones, low, guards = enumeration._lane_masks(n, bits)
+        assert low & guards == 0 and low | guards == (1 << n * bits) - 1
+        for _ in range(20):
+            lanes = [rng.choice((0, top, rng.randint(0, top))) for _ in range(n)]
+            state = sum(u << (r * bits) for r, u in enumerate(lanes))
+            for v in {*lanes, rng.randint(0, top), 0, top}:
+                marks = enumeration._zero_lanes(state ^ v * ones, low, guards)
+                at_v = [r for r, u in enumerate(lanes) if u == v]
+                assert marks == sum(1 << (r * bits + bits - 1) for r in at_v)
+                assert enumeration._guard_ranks(marks, bits) == at_v
+
+
+def reference_deltas(k, v, pile, bits):
+    """Each fire of the ascending ranks `pile` at v, as what it adds to a
+    state, in `combinations` order; at the root, one per set of shed chips,
+    in `combinations` order of the shed sets."""
+    dests = list(destinations(k, v))
+    if v:
+        return [sum((d - v) << (r * bits) for r, d in zip(sel, dests)) for sel in itertools.combinations(pile, k + 1)]
+    shed = {sel[: k // 2] + sel[k // 2 + 1 :] for sel in itertools.combinations(pile, k + 1)}
+    del dests[k // 2]
+    return [
+        sum(d << (r * bits) for r, d in zip(sel, dests)) for sel in itertools.combinations(pile, k) if sel in shed
+    ]
+
+
+def filled(table, size):
+    """The table of `size` deltas, read through `read`, which builds it a
+    chunk at a time: 16 deltas first, then as many as the table holds.  A
+    read cut short, as a search cut by its state limit leaves it, is read
+    again from the start."""
+    list(itertools.islice(table.read(), 20))
+    assert len(table) == min(32, size)
+    edge = enumeration._FIRST_CHUNK
+    for read, _ in enumerate(table.read(), 1):
+        if read > edge:
+            edge *= 2
+        assert len(table) == min(max(edge, 32), size)
+    assert table.rest is None
+    return list(table)
+
+
+@pytest.mark.parametrize("k", range(2, 6))
+def test_fire_tables_hold_each_selection_in_combinations_order(k):
+    """A fire table, built chunk by chunk, equals the deltas of the pile's
+    selections one at a time, at the root and away from it."""
+    rng = random.Random(k)
+    bits, n = 6, 24
+    ones, low, guards = enumeration._lane_masks(n, bits)
+    for v in (0, 1, k, k + 1):
+        fire = enumeration._FireDeltas(k, v, bits, ones)
+        for size in (k + 1, k + 2, 2 * k + 3, 16):
+            pile = sorted(rng.sample(range(n), size))
+            marks = sum(1 << (r * bits + bits - 1) for r in pile)
+            shed = enumeration._root_leavers(k, size)[0] if v == 0 else None
+            table = fire.table(marks, shed)
+            assert fire.tables[marks] is table and len(table) == 0
+            expected = reference_deltas(k, v, pile, bits)
+            assert filled(table, len(expected)) == expected, (v, pile)
+
+
+@pytest.mark.parametrize(
+    "start",
+    [initial_config(S2, 3), Configuration.from_dict(3, {0: range(1, 12), 1: [12, 13], 3: [14]}), SLICE],
+    ids=["2-3", "ternary", "slice"],
+)
+def test_every_table_of_a_search_matches_its_pile(start):
+    """The tables a full search leaves behind hold, for the pile their
+    guard mask names, every fire's delta in order, and piles that share a
+    selection share its int."""
+    search = enumeration._Search(start, 10**8, 10**7, True, False)
+    level = {search.start_counts: {search.start_key}}
+    while level:
+        level = search.expand(level)
+    bits, n = search.bits, search.n_chips
+    tables = 0
+    for v, fire in search.deltas.items():
+        shared = {id(delta) for delta in fire.values()}
+        for marks, table in fire.tables.items():
+            pile = [r for r in range(n) if marks >> (r * bits + bits - 1) & 1]
+            assert table.rest is None
+            assert list(table) == reference_deltas(search.shape.k, v, pile, bits)
+            assert {id(delta) for delta in table} <= shared
+            tables += 1
+    assert tables > 1
+
+
+# Counters and a digest of the witnesses of (2,9) searches cut in the start's
+# root fire, at each of its first chunk edges and one either side (table
+# lengths 16, 32 and 64), frozen from the search that looked up one delta per
+# selection.
+CHUNK_EDGE_WITNESSES = {
+    15: "1c5f934792429143", 16: "7d26fc9274efd356", 17: "509874ffd4b35bd7",
+    31: "a6ee3b4532314b60", 32: "24f7a4b3547a0f1a", 33: "aae9c004f5d63545",
+    63: "4f612769272b5521", 64: "32ab744246984757", 65: "2abd61b862857e9e",
+}
+
+
+@pytest.mark.parametrize("max_states", sorted(CHUNK_EDGE_WITNESSES))
+def test_a_cut_at_a_chunk_edge_counts_as_before(max_states):
+    assert enumeration._FIRST_CHUNK == 16
+    result = enumerate_stable(initial_config(S2, 9), max_states=max_states, record_witnesses=True)
+    assert (result.states_explored, result.memo_hits, result.level_widths) == (1, 0, (1,))
+    assert result.truncated and not result.stable_keys
+    assert len(result.witnesses) == max_states
+    digest = hashlib.sha256(repr(list(result.witnesses.items())).encode()).hexdigest()
+    assert digest[:16] == CHUNK_EDGE_WITNESSES[max_states]
+
+
+def test_every_cut_of_the_first_400_states_counts_as_before():
+    """The (2,4) search cut at each of its first 400 states: the counters,
+    the stable set and the witnesses in the order they were recorded,
+    frozen from the search that looked up one delta per selection.  These
+    cuts fall inside fire tables still being built and inside complete
+    ones, with memo hits."""
+    digest = hashlib.sha256()
+    for max_states in range(1, 401):
+        result = enumerate_stable(initial_config(S2, 4), max_states=max_states, record_witnesses=True)
+        assert result.truncated
+        digest.update(repr((
+            result.states_explored, result.memo_hits, result.level_widths,
+            sorted(result.stable_keys), list(result.witnesses.items()),
+        )).encode())
+    assert digest.hexdigest() == "0a68a3e7d21c1e2cbaab53f370370dcf4bcaa58c7c41d2fb6ec5c1741802d587"
 
 
 def test_truncation_by_stable_count():
