@@ -2,10 +2,10 @@
 
 Everything here is plain arbitrary-precision integer arithmetic: factorials,
 binomials, multinomials, and products of powers.  No floating point is used
-anywhere; scientific notation is produced by rounding the exact integer,
-and the exact decimal by splitting the integer on powers of ten, so that
-every `str()` call stays under the interpreter's integer digit cap and the
-cap itself is never changed.
+anywhere.  The exact decimal is produced by splitting the integer on
+powers of ten, so that every `str()` call stays under the interpreter's
+integer digit cap and the cap itself is never changed; scientific notation
+is rounded from those exact decimal digits.
 
 The upper bounds come from decomposing the tree along root-anchored
 alternating (zigzag) paths; the binary-tree variants sharpen two factors.
@@ -15,7 +15,7 @@ of stabilizing strategies.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property
 from math import comb, factorial, isqrt
 
 from .tree import TreeShape, _Frozen, layer_start
@@ -23,9 +23,6 @@ from .tree import TreeShape, _Frozen, layer_start
 
 class FormulaError(ArithmeticError):
     """An exactness check failed, signalling a transcription bug."""
-
-
-_fact = lru_cache(maxsize=None)(factorial)
 
 
 def n_chips(k: int, ell: int) -> int:
@@ -101,7 +98,11 @@ def multinomial(n: int, parts: list[int]) -> int:
 
 
 class BoundReport(_Frozen):
-    """An exact bound value tagged with what it bounds."""
+    """An exact bound value tagged with what it bounds.
+
+    The value is converted to decimal once, on first use; `decimal()`,
+    `sci()`, `to_json_dict()` and the repr all read those digits.
+    """
 
     kind: str
     k: int
@@ -115,44 +116,34 @@ class BoundReport(_Frozen):
         object.__setattr__(self, "ell", ell)
         object.__setattr__(self, "value", value)
 
+    @cached_property
+    def _digits(self) -> str:
+        return decimal_string(self.value)
+
     def __repr__(self) -> str:
         # the value goes through decimal_string: its repr could exceed the digit cap
         return (
             f"{type(self).__qualname__}(kind={self.kind!r}, k={self.k!r}, ell={self.ell!r}, "
-            f"value={decimal_string(self.value)})"
+            f"value={self._digits})"
         )
 
     def sci(self, digits: int = 4) -> str:
-        mantissa, exponent = sci_parts(self.value, digits)
+        mantissa, exponent = _round_digits(self._digits, digits)
         return f"{mantissa}e{exponent}"
 
     def decimal(self) -> str:
-        return decimal_string(self.value)
+        return self._digits
 
     def to_json_dict(self, digits: int = 4) -> dict:
-        mantissa, exponent = sci_parts(self.value, digits)
+        mantissa, exponent = _round_digits(self._digits, digits)
         return {
             "kind": self.kind,
             "k": self.k,
             "ell": self.ell,
-            "value_decimal": self.decimal(),
+            "value_decimal": self._digits,
             "mantissa": mantissa,
             "exponent": exponent,
         }
-
-
-def _floor_log10(value: int) -> int:
-    if value <= 0:
-        raise ValueError("positive value required")
-    e = max(0, (value.bit_length() - 1) * 30103 // 100000)
-    p = 10**e
-    while p * 10 <= value:
-        p *= 10
-        e += 1
-    while p > value:
-        p //= 10
-        e -= 1
-    return e
 
 
 def sci_parts(value: int, digits: int = 4) -> tuple[str, int]:
@@ -160,29 +151,29 @@ def sci_parts(value: int, digits: int = 4) -> tuple[str, int]:
 
     Returns (mantissa string like "3.168", power-of-ten exponent).
     """
+    return _round_digits(decimal_string(value), digits)
+
+
+def _round_digits(decimal: str, digits: int) -> tuple[str, int]:
+    """`sci_parts` of the integer whose exact decimal string is `decimal`."""
     if digits < 1:
         raise ValueError(f"digits must be >= 1, got {digits}")
-    if value < 0:
+    if decimal.startswith("-"):
         raise ValueError("bound values are nonnegative")
-    if value == 0:
-        return ("0." + "0" * (digits - 1) if digits > 1 else "0", 0)
-    e = _floor_log10(value)
-    shift = e - digits + 1
-    if shift <= 0:
-        m = value * 10**-shift
-    else:
-        unit = 10**shift
-        m, r = divmod(value, unit)
-        half = unit // 2
-        if r > half or (r == half and m % 2 == 1):
+    exponent = len(decimal) - 1
+    # Without trailing zeros, a first dropped digit of 5 is a tie exactly when
+    # it is the last digit; "0" strips to "" and reads as a mantissa of 0.
+    significant = decimal.rstrip("0")
+    m = int(significant[:digits].ljust(digits, "0"))
+    if len(significant) > digits:
+        dropped = significant[digits]
+        if dropped > "5" or (dropped == "5" and (len(significant) > digits + 1 or m % 2)):
             m += 1
     if m == 10**digits:
         m //= 10
-        e += 1
-    head, tail = divmod(m, 10 ** (digits - 1))
-    if digits == 1:
-        return (str(head), e)
-    return (f"{head}.{tail:0{digits - 1}d}", e)
+        exponent += 1
+    mantissa = str(m).zfill(digits)
+    return (f"{mantissa[0]}.{mantissa[1:]}" if digits > 1 else mantissa, exponent)
 
 
 # str() of a value of at most this many bits has at most 603 digits, below the
@@ -215,10 +206,9 @@ def naive_bound(k: int, ell: int) -> BoundReport:
     """Count every ordering of the non-extreme chips: (N-2)! for N chips."""
     if ell <= 2:
         raise ValueError(f"out of stated range: need ell > 2, got {ell}")
-    return BoundReport("naive", k, ell, _fact(n_chips(k, ell) - 2))
+    return BoundReport("naive", k, ell, factorial(n_chips(k, ell) - 2))
 
 
-@lru_cache(maxsize=None)
 def _zigzag_factor(k: int, ell: int, drop: int) -> int:
     """Ways to choose and order the chips of one zigzag path and split the rest.
 
@@ -314,7 +304,6 @@ def construction_windows(k: int, level: int, i: int) -> tuple[int, range, range]
     return m, range(k // 2 + 2, m), range(m + 1, n - 2 * ((k + 1) // 2) + i)
 
 
-@lru_cache(maxsize=None)
 def construction_layer_factor(k: int, level: int) -> int:
     """Distinct outcomes one level of the explicit construction can produce.
 
@@ -359,4 +348,4 @@ def asymptotic_check(k: int, ell: int) -> bool:
         raise ValueError(f"need ell >= 4, got {ell}")
     if k < 2:
         raise ValueError(f"arity must be >= 2, got {k}")
-    return zigzag_bound(k, ell).value < _fact(n_chips(k, ell) - 3)
+    return zigzag_bound(k, ell).value < factorial(n_chips(k, ell) - 3)

@@ -548,18 +548,12 @@ class _Search:
     def _selection(self, fire: _FireDeltas, pile: int, state: int, succ: int) -> tuple[VertexId, tuple[int, ...]]:
         """The witness move of the fire that leads from `state` to `succ`.
 
-        The selected ranks are the lanes in which the two states differ, read
-        off their guard bits one at a time, since only k+1 lanes differ.  At
+        The selected ranks are the lanes in which the two states differ.  At
         the root, where the median stays, `_with_median` adds the median of
         the first selection from the pile with guard mask `pile`.
         """
         guards, bits = self.guards, self.bits
-        lanes = guards ^ _zero_lanes(state ^ succ, self.low, guards)
-        moved = []
-        while lanes:
-            bit = lanes & -lanes
-            moved.append(bit.bit_length() // bits - 1)
-            lanes ^= bit
+        moved = _guard_ranks(guards ^ _zero_lanes(state ^ succ, self.low, guards), bits)
         if fire.v:
             return fire.v, tuple(moved)
         return 0, _with_median(self.shape.k, moved, pile, bits)

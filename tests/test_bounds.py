@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from karyfire import bounds
 from karyfire.bounds import (
     BoundReport,
     FormulaError,
@@ -356,6 +357,105 @@ def test_sci_parts_ties_round_half_even():
     assert sci_parts(1250, 2) == ("1.2", 3)
     assert sci_parts(1350, 2) == ("1.4", 3)
     assert sci_parts(250, 2) == ("2.5", 2)  # exact, nothing to round
+
+
+def _floor_log10(value):
+    e = max(0, (value.bit_length() - 1) * 30103 // 100000)
+    p = 10**e
+    while p * 10 <= value:
+        p *= 10
+        e += 1
+    while p > value:
+        p //= 10
+        e -= 1
+    return e
+
+
+def reference_sci_parts(value, digits):
+    """`sci_parts` by big-integer rounding: divide by a power of ten, round the
+    remainder half-to-even, never look at the decimal digits."""
+    if value == 0:
+        return ("0." + "0" * (digits - 1) if digits > 1 else "0", 0)
+    e = _floor_log10(value)
+    shift = e - digits + 1
+    if shift <= 0:
+        m = value * 10**-shift
+    else:
+        unit = 10**shift
+        m, r = divmod(value, unit)
+        half = unit // 2
+        if r > half or (r == half and m % 2 == 1):
+            m += 1
+    if m == 10**digits:
+        m //= 10
+        e += 1
+    head, tail = divmod(m, 10 ** (digits - 1))
+    if digits == 1:
+        return (str(head), e)
+    return (f"{head}.{tail:0{digits - 1}d}", e)
+
+
+def _ties_and_carries(max_len=60):
+    """Values of up to `max_len` digits whose rounding to 1..8 digits drops a
+    5, a 5 then zeros, a 4 then nines, or a 5 just above a tie, after heads of
+    all nines (a carry) and heads ending in an odd or an even digit."""
+    values = {0}
+    for n in range(1, max_len + 1):
+        for p in range(1, min(n, 9) + 1):
+            rest = n - p
+            tails = ["5" + "0" * rest, "4" + "9" * rest]
+            if rest:
+                tails.append("5" + "0" * (rest - 1) + "1")
+            heads = {"9" * (p - 1), "1" * (p - 1), ("1" * (p - 2) + "2") if p > 1 else ""}
+            values.update(int(head + tail) for head in heads for tail in tails)
+    return sorted(values)
+
+
+def _random_values(count=2000, seed=2509):
+    """Random values below 10^6000, their sizes spread evenly on a log scale."""
+    rng = random.Random(seed)
+    return [rng.randrange(10 ** int(6000 ** rng.random())) for _ in range(count)]
+
+
+def _which_all_values(ell=13):
+    reports = [naive_bound(2, ell), zigzag_bound(2, ell), lower_bound_general(2, ell), lower_bound_binary(ell)]
+    reports += [binary_zigzag_bound(ell, "T"), binary_zigzag_bound(ell, "Z")]
+    return [r.value for r in reports]
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        pytest.param(_ties_and_carries, id="ties-and-carries"),
+        pytest.param(_random_values, id="random-below-10^6000"),
+        pytest.param(_which_all_values, id="which-all-2-13"),
+    ],
+)
+def test_sci_rounds_as_big_integer_rounding_does(values):
+    # through a report, which converts each value to decimal once
+    for value in values():
+        report = BoundReport("reference", 2, 3, value)
+        for digits in range(1, 9):
+            mantissa, exponent = reference_sci_parts(value, digits)
+            assert report.sci(digits) == f"{mantissa}e{exponent}", (value, digits)
+
+
+def test_bound_report_converts_its_value_once(monkeypatch):
+    calls = []
+
+    def counted(value):
+        calls.append(value)
+        return decimal_string(value)
+
+    monkeypatch.setattr(bounds, "decimal_string", counted)
+    report = zigzag_bound(2, 8)
+    report.decimal()
+    report.decimal()
+    report.sci()
+    report.sci(2)
+    report.to_json_dict()
+    repr(report)
+    assert len(calls) == 1
 
 
 def test_decimal_string_handles_huge_values():
